@@ -511,7 +511,7 @@ pub fn route_staged<M: MessageCost + Send>(
         faults: parts.faults,
         max_extra_delay: parts.max_extra_delay,
         trace_capacity: parts.trace_capacity,
-        causal_ppm: parts.causal_ppm,
+        causal: parts.causal,
         reliable: parts.reliable,
         node_count: parts.inboxes.len(),
         shard_len,

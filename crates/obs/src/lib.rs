@@ -74,4 +74,4 @@ pub use recorder::{ObsReport, Recorder, RoundObs, RunMeta, RunOutcomeObs};
 pub use registry::MetricsRegistry;
 pub use sink::{ChromeTraceSink, JsonlArchiveSink, ObsSink, PrometheusSink};
 pub use span::{Phase, SpanEvent};
-pub use trace::{CausalTrace, ProvEdge};
+pub use trace::{CausalTrace, ProvEdge, ProvShard};

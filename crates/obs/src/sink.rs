@@ -43,7 +43,7 @@ impl JsonlArchiveSink {
 
 impl ObsSink for JsonlArchiveSink {
     fn on_finish(&mut self, report: &ObsReport) -> io::Result<()> {
-        write_atomic(&self.path, &crate::archive::render(report))
+        write_atomic_with(&self.path, |w| crate::archive::render_to(report, w))
     }
 }
 
@@ -388,13 +388,24 @@ fn prom_check_sample(line: &str) -> Result<String, String> {
 /// Writes via a temp file + rename so a crashing run never leaves a
 /// half-written artifact where a complete one is expected.
 pub(crate) fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
+    write_atomic_with(path, |w| io::Write::write_all(w, contents.as_bytes()))
+}
+
+/// [`write_atomic`] for writers that stream: `write` fills a buffered
+/// temp file, which is renamed into place only once fully flushed.
+pub(crate) fn write_atomic_with(
+    path: &Path,
+    write: impl FnOnce(&mut io::BufWriter<std::fs::File>) -> io::Result<()>,
+) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, contents)?;
+    let mut out = io::BufWriter::new(std::fs::File::create(&tmp)?);
+    write(&mut out)?;
+    out.into_inner().map_err(io::IntoInnerError::into_error)?;
     std::fs::rename(&tmp, path)
 }
 

@@ -485,28 +485,41 @@ proptest! {
         }
 
         // Causal tracing is also outside the boundary: at any sampling
-        // rate and any worker count the RunReport stays byte-for-byte
-        // the blind run's, and the provenance section of the archive
-        // (trace_meta + edge lines) is byte-identical across engines.
-        for &ppm in &[250_000u32, 1_000_000] {
+        // rate, any capacity (above the pair count and well below it,
+        // where overflow accounting kicks in) and on every engine —
+        // the event engine at unit latency included — the RunReport
+        // stays byte-for-byte the blind run's, and the provenance
+        // section of the archive (trace_meta + edge lines) is
+        // byte-identical across engines.
+        for (&ppm, &capacity) in [250_000u32, 1_000_000]
+            .iter()
+            .flat_map(|ppm| [1usize << 20, 64].iter().map(move |cap| (ppm, cap)))
+        {
             let mut sections: Vec<String> = Vec::new();
             for (tag, engine) in [
                 ("cseq".to_string(), EngineKind::Sequential),
                 ("cw1".to_string(), EngineKind::Sharded { workers: 1 }),
                 ("cw2".to_string(), EngineKind::Sharded { workers: 2 }),
                 ("cw4".to_string(), EngineKind::Sharded { workers: 4 }),
+                (
+                    "cev".to_string(),
+                    EngineKind::Event {
+                        latency: LatencyModel::Constant { ticks: 1 },
+                    },
+                ),
             ] {
-                let path = dir.join(format!("{tag}-{ppm}.jsonl"));
+                let path = dir.join(format!("{tag}-{ppm}-{capacity}.jsonl"));
                 let spec = ObsSpec::new()
                     .with_archive(&path)
-                    .with_causal_trace(1 << 20, ppm);
+                    .with_causal_trace(capacity, ppm);
                 let observed = run(kind, &base.clone().with_engine(engine).with_obs(spec));
                 prop_assert_eq!(
                     &observed,
                     &blind[0],
-                    "{} @ {} ppm: causal tracing perturbed the run",
+                    "{} @ {} ppm, capacity {}: causal tracing perturbed the run",
                     &tag,
-                    ppm
+                    ppm,
+                    capacity
                 );
                 let text = std::fs::read_to_string(&path).unwrap();
                 let problems = archive::validate(&text);
@@ -542,9 +555,10 @@ proptest! {
                 prop_assert_eq!(
                     &sections[0],
                     sec,
-                    "provenance section diverged (engine {} @ {} ppm)",
+                    "provenance section diverged (engine {} @ {} ppm, capacity {})",
                     i,
-                    ppm
+                    ppm,
+                    capacity
                 );
             }
         }
