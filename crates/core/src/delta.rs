@@ -2,7 +2,7 @@
 //!
 //! A node that repeatedly gossips to the *same* peers wastes bandwidth
 //! resending ids the peer was already told. Because a
-//! [`KnowledgeSet`](crate::KnowledgeSet)'s learning-order list is
+//! [`KnowledgeSet`]'s learning-order list is
 //! append-only, "everything I learned since I last sent to `p`" is just
 //! a suffix `list[mark_p..]` — no per-id bookkeeping, no set
 //! difference, one `usize` per neighbor. [`DeltaFrontier`] stores those

@@ -13,7 +13,7 @@ use rd_sim::NodeId;
 ///
 /// Internally membership starts as a small **sorted index** (binary
 /// search) and spills into a **growable bitmap** over raw identifier
-/// indices once the set exceeds [`SPARSE_MAX`] entries, plus an
+/// indices once the set exceeds `SPARSE_MAX` entries, plus an
 /// insertion-order list for O(1) random sampling. The hybrid matters at
 /// scale: a bitmap alone costs `max_id / 8` bytes *per set*, which sums
 /// to Θ(n²) bytes across a million singleton clusters — the sparse tier

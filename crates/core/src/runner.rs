@@ -14,7 +14,10 @@ use rd_obs::{
     LivePublisher, LiveServer, LiveSnapshot, MonitorEngine, PrometheusSink, Recorder, RunMeta,
     RunOutcomeObs,
 };
-use rd_sim::{DropTally, Engine, FaultPlan, Node, RetryPolicy, RoundEngine, RunOutcome};
+use rd_sim::{
+    Delivery, DeliveryEngine, DropTally, Engine, FaultPlan, Node, RetryPolicy, RoundEngine,
+    RunOutcome,
+};
 use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -122,6 +125,15 @@ impl EngineKind {
             EngineKind::Sequential => "sequential".into(),
             EngineKind::Sharded { workers } => format!("sharded:{workers}"),
             EngineKind::Event { latency } => format!("event:{}", latency.name()),
+        }
+    }
+
+    /// Threads the engine steps nodes on: `w` for `Sharded { workers: w }`,
+    /// 1 for the sequential and event engines.
+    pub fn workers(&self) -> usize {
+        match self {
+            EngineKind::Sharded { workers } => *workers,
+            EngineKind::Sequential | EngineKind::Event { .. } => 1,
         }
     }
 
@@ -498,58 +510,55 @@ where
         .as_ref()
         .and_then(|spec| spec.causal)
         .map(|(capacity, sample_ppm)| make_causal_trace(capacity, sample_ppm, &initial));
+    let (name, seed) = (alg.name(), config.seed);
     match config.engine {
         EngineKind::Sequential => {
-            let mut engine = Engine::new(nodes, config.seed).with_faults(config.faults.clone());
-            if let Some(policy) = config.reliable {
-                engine = engine.with_reliable_delivery(policy);
-            }
-            if let Some(capacity) = config.trace_capacity {
-                engine = engine.with_trace(capacity);
-            }
-            if let Some(trace) = causal {
-                engine = engine.with_causal_trace(trace);
-            }
-            if let Some(spec) = &config.obs {
-                engine = engine.with_obs(make_recorder(&alg.name(), config, spec));
-            }
+            let engine = configure(Engine::new(nodes, seed), &name, config, causal);
             drive(alg, config, &initial, engine)
         }
         EngineKind::Sharded { workers } => {
-            let mut engine =
-                ShardedEngine::new(nodes, config.seed, workers).with_faults(config.faults.clone());
-            if let Some(policy) = config.reliable {
-                engine = engine.with_reliable_delivery(policy);
-            }
-            if let Some(capacity) = config.trace_capacity {
-                engine = engine.with_trace(capacity);
-            }
-            if let Some(trace) = causal {
-                engine = engine.with_causal_trace(trace);
-            }
-            if let Some(spec) = &config.obs {
-                engine = engine.with_obs(make_recorder(&alg.name(), config, spec));
-            }
+            let engine = configure(
+                ShardedEngine::new(nodes, seed, workers),
+                &name,
+                config,
+                causal,
+            );
             drive(alg, config, &initial, engine)
         }
         EngineKind::Event { latency } => {
-            let mut engine =
-                EventEngine::new(nodes, config.seed, latency).with_faults(config.faults.clone());
-            if let Some(policy) = config.reliable {
-                engine = engine.with_reliable_delivery(policy);
-            }
-            if let Some(capacity) = config.trace_capacity {
-                engine = engine.with_trace(capacity);
-            }
-            if let Some(trace) = causal {
-                engine = engine.with_causal_trace(trace);
-            }
-            if let Some(spec) = &config.obs {
-                engine = engine.with_obs(make_recorder(&alg.name(), config, spec));
-            }
+            let engine = configure(
+                EventEngine::new(nodes, seed, latency),
+                &name,
+                config,
+                causal,
+            );
             drive(alg, config, &initial, engine)
         }
     }
+}
+
+/// Applies the run's fault plan, delivery and telemetry settings to a
+/// freshly built engine, whatever its delivery policy.
+fn configure<N: Node, D: Delivery<N>>(
+    mut engine: DeliveryEngine<N, D>,
+    algorithm: &str,
+    config: &RunConfig,
+    causal: Option<CausalTrace>,
+) -> DeliveryEngine<N, D> {
+    engine = engine.with_faults(config.faults.clone());
+    if let Some(policy) = config.reliable {
+        engine = engine.with_reliable_delivery(policy);
+    }
+    if let Some(capacity) = config.trace_capacity {
+        engine = engine.with_trace(capacity);
+    }
+    if let Some(trace) = causal {
+        engine = engine.with_causal_trace(trace);
+    }
+    if let Some(spec) = &config.obs {
+        engine = engine.with_obs(make_recorder(algorithm, config, spec));
+    }
+    engine
 }
 
 /// Builds the causal provenance trace for one run, with every pair of
@@ -572,17 +581,13 @@ fn make_causal_trace(
 /// Builds the telemetry recorder for one run: identity from the config,
 /// one sink per exporter the spec enables.
 fn make_recorder(algorithm: &str, config: &RunConfig, spec: &ObsSpec) -> Recorder {
-    let workers = match config.engine {
-        EngineKind::Sequential | EngineKind::Event { .. } => 1,
-        EngineKind::Sharded { workers } => workers,
-    };
     let mut rec = Recorder::new(RunMeta {
         algorithm: algorithm.to_string(),
         topology: config.topology.name(),
         n: config.n,
         seed: config.seed,
         engine: config.engine.name(),
-        workers,
+        workers: config.engine.workers(),
         latency_model: config.engine.latency_model(),
     });
     if let Some(path) = &spec.archive {
@@ -737,10 +742,7 @@ where
         snap_base.engine = config.engine.name();
         snap_base.n = config.n as u64;
         snap_base.seed = config.seed;
-        snap_base.workers = match config.engine {
-            EngineKind::Sequential | EngineKind::Event { .. } => 1,
-            EngineKind::Sharded { workers } => workers as u64,
-        };
+        snap_base.workers = config.engine.workers() as u64;
         snap_base.max_rounds = config.max_rounds;
         // Every live node must know every live node (the default
         // completion notion): live² identifiers in total.

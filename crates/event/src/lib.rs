@@ -9,12 +9,15 @@
 //! and non-message events (retransmission timeouts) are first-class
 //! timers in a [`TimerWheel`].
 //!
-//! The round engines (`rd-sim`'s sequential engine, `rd-exec`'s sharded
-//! engine) execute lockstep synchronous rounds: every message takes
-//! exactly one round (or `1 + U{0..=j}` under the jitter knob). Real
-//! networks are asynchronous — constant multi-tick RTTs, heavy-tailed
-//! stragglers, directionally asymmetric links. [`EventEngine`] expresses
-//! all of those while keeping the workspace's determinism discipline:
+//! The round policies (`rd-sim`'s sequential [`Rounds`], `rd-exec`'s
+//! sharded policy) execute lockstep synchronous rounds: every message
+//! takes exactly one round (or `1 + U{0..=j}` under the jitter knob).
+//! Real networks are asynchronous — constant multi-tick RTTs,
+//! heavy-tailed stragglers, directionally asymmetric links.
+//! [`EventEngine`] is `rd-sim`'s one [`DeliveryEngine`] under the
+//! [`Timed`] delivery policy — same step skeleton, builder and
+//! accessors — and expresses all of those while keeping the workspace's
+//! determinism discipline:
 //!
 //! * **Latency draws are counter-based.** Each transmission's latency is
 //!   a pure function of `(seed, src, dst, tick, sequence, attempt)`
@@ -72,12 +75,8 @@ mod timer;
 pub use latency::LatencyModel;
 pub use timer::{TimerId, TimerWheel};
 
-use rd_obs::{CausalTrace, Phase, Recorder};
-use rd_sim::{
-    round_obs, step_node, take_capped, EngineCore, Envelope, FaultPlan, Node, RetryPolicy,
-    RoundEngine, RunMetrics, RunOutcome, Trace,
-};
-use std::time::Instant;
+use rd_obs::{Phase, Recorder};
+use rd_sim::{in_span, Delivery, DeliveryEngine, EngineCore, FromParam, Node, Rounds};
 
 /// Engine-internal timer payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,18 +86,28 @@ enum TimerKind {
 }
 
 /// Drives a population of [`Node`] programs through discrete simulated
-/// time with per-message latencies from a [`LatencyModel`].
+/// time with per-message latencies from a [`LatencyModel`]:
+/// `EventEngine::new(nodes, seed, latency)`.
 ///
-/// Each [`step`](EventEngine::step) advances simulated time by one
-/// tick: due deliveries and timers fire, every live node runs once (its
-/// logical clock advancing), and its sends are routed with latencies
-/// drawn from the model. Under `LatencyModel::Constant { ticks: 1 }`
-/// the engine is bit-identical to the synchronous round engines.
+/// Each step advances simulated time by one tick: due deliveries land,
+/// every live node runs once (its logical clock advancing), its sends
+/// are routed with latencies drawn from the model, and due timers fire.
+/// The builder knobs and accessors are those of every
+/// [`DeliveryEngine`], except that the uniform-jitter knob is rejected
+/// (the latency model supersedes it). Under
+/// `LatencyModel::Constant { ticks: 1 }` the engine is bit-identical to
+/// the synchronous round engines.
 ///
 /// See the crate-level documentation for the determinism argument.
-pub struct EventEngine<N: Node> {
-    nodes: Vec<N>,
-    core: EngineCore<N::Msg>,
+pub type EventEngine<N> = DeliveryEngine<N, Timed<<N as Node>::Msg>>;
+
+/// The discrete-event delivery policy: nodes step as in [`Rounds`],
+/// sends are routed with model-drawn latencies, and reliable-delivery
+/// retransmissions run when a timer fires rather than in an
+/// every-round sweep.
+pub struct Timed<M> {
+    /// Staging buffers and the serial stepping loop.
+    serial: Rounds<M>,
     latency: LatencyModel,
     /// Per-node logical clocks: ticks the node has actually executed.
     /// Crashed nodes freeze; recovered nodes resume behind global time.
@@ -107,223 +116,40 @@ pub struct EventEngine<N: Node> {
     /// The armed retransmission wake-up, tracking the earliest due slot
     /// of the core's retransmission queue.
     retx_timer: Option<TimerId>,
-    /// Tick-persistent staging buffer for outgoing envelopes.
-    staged: Vec<Envelope<N::Msg>>,
-    /// Tick-persistent scratch buffer for capped inbox delivery.
-    scratch: Vec<Envelope<N::Msg>>,
-    obs: Option<Recorder>,
 }
 
-impl<N: Node> EventEngine<N> {
-    /// Creates an engine over `nodes` with the given latency model,
-    /// where node `i` has identifier `NodeId::new(i)`. `seed`
-    /// determines all protocol, fault, and latency randomness.
-    ///
+impl<M> FromParam for Timed<M> {
+    type Param = LatencyModel;
+
     /// # Panics
     ///
     /// Panics if the latency model's parameters are invalid (see
     /// [`LatencyModel::validate`]).
-    pub fn new(nodes: Vec<N>, seed: u64, latency: LatencyModel) -> Self {
+    fn from_param(latency: LatencyModel, node_count: usize) -> Self {
         if let Err(err) = latency.validate() {
             panic!("invalid latency model: {err}");
         }
-        let core = EngineCore::new(nodes.len(), seed);
-        let clocks = vec![0; nodes.len()];
-        EventEngine {
-            nodes,
-            core,
+        Timed {
+            serial: Rounds::default(),
             latency,
-            clocks,
+            clocks: vec![0; node_count],
             timers: TimerWheel::new(),
             retx_timer: None,
-            staged: Vec::new(),
-            scratch: Vec::new(),
-            obs: None,
         }
     }
+}
 
-    /// Attaches a telemetry [`Recorder`]. Purely observational — a run
-    /// with a recorder is bit-identical to the same run without one.
-    /// Span rows carry the simulated tick in their round field.
-    pub fn with_obs(mut self, mut recorder: Recorder) -> Self {
-        // One-time message-cost registration for the profiler (no-op
-        // unless profiling is on).
-        recorder.profile_msg_kind(
-            rd_sim::short_type_name::<N::Msg>(),
-            std::mem::size_of::<Envelope<N::Msg>>() as u64,
-            std::mem::size_of::<rd_sim::NodeId>() as u64,
-        );
-        self.obs = Some(recorder);
-        self
-    }
-
-    /// Installs a fault plan (drops, crashes, partitions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan crashes a node index that does not exist.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.core.set_faults(faults);
-        self
-    }
-
-    /// Enables message tracing with the given event capacity.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.core.enable_trace(capacity);
-        self
-    }
-
-    /// Attaches a causal knowledge-provenance trace. Purely
-    /// observational; provenance edges carry simulated send/delivery
-    /// ticks, so heavy-tail stragglers are visible in the causal DAG.
-    pub fn with_causal_trace(mut self, causal: CausalTrace) -> Self {
-        self.core.set_causal(causal);
-        self
-    }
-
-    /// Caps deliveries at `cap` messages per node per tick; excess
-    /// messages queue (in arrival order) for later ticks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn with_receive_cap(mut self, cap: usize) -> Self {
-        self.core.set_receive_cap(cap);
-        self
-    }
-
-    /// Enables reliable delivery. Unlike the round engines' end-of-round
-    /// sweep, timeouts here are real timer events: each parked
-    /// retransmission arms a wake-up in the timer wheel, and attempts
-    /// run exactly when it fires. Attempt latencies are drawn from the
-    /// latency model on the message's own counter-based axes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy's timeout or retry budget is 0.
-    pub fn with_reliable_delivery(mut self, policy: RetryPolicy) -> Self {
-        self.core.set_reliable(policy);
-        self
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Read access to the node programs.
-    pub fn nodes(&self) -> &[N] {
-        &self.nodes
-    }
-
-    /// Simulated time: ticks executed so far. One tick is one unit of
-    /// the latency model; under `const:1` it coincides with the round
-    /// counter of the synchronous engines.
-    pub fn now(&self) -> u64 {
-        self.core.round()
-    }
-
+impl<M> Timed<M> {
     /// The per-node logical clocks: how many ticks each node has
-    /// actually executed. A node's clock trails [`now`](Self::now) by
-    /// the ticks it spent crashed.
+    /// actually executed. A node's clock trails the engine's round
+    /// counter by the ticks it spent crashed.
     pub fn clocks(&self) -> &[u64] {
         &self.clocks
     }
 
-    /// The engine's latency model.
-    pub fn latency_model(&self) -> LatencyModel {
-        self.latency
-    }
-
-    /// The complexity record.
-    pub fn metrics(&self) -> &RunMetrics {
-        self.core.metrics()
-    }
-
-    /// The message trace, if enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.core.trace()
-    }
-
-    /// The causal provenance trace, if enabled.
-    pub fn causal(&self) -> Option<&CausalTrace> {
-        self.core.causal()
-    }
-
-    /// `(fired, cancelled)` counters of the engine's timer wheel.
+    /// `(fired, cancelled)` counters of the policy's timer wheel.
     pub fn timer_stats(&self) -> (u64, u64) {
         self.timers.stats()
-    }
-
-    /// Executes one tick of simulated time: delivers due messages,
-    /// fires due timers, runs every live node, routes its sends with
-    /// model-drawn latencies, and makes due retransmission attempts.
-    pub fn step(&mut self) {
-        if let Some(rec) = &mut self.obs {
-            rec.begin_round();
-        }
-        let t_begin = self.obs.as_ref().map(|_| Instant::now());
-        let now = self.core.begin_round();
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::BeginRound, now, 0, t_begin.unwrap());
-        }
-        let suspects = self.core.suspects().to_vec();
-
-        let t_step = self.obs.as_ref().map(|_| Instant::now());
-        let state = self.core.step_state();
-        let crashes_possible = state.faults.has_crashes();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if crashes_possible && state.faults.is_crashed_at(i, now) {
-                // Crashed nodes neither run nor receive (their clock
-                // freezes); pending deliveries are consumed and lost.
-                state.inboxes[i].clear();
-                continue;
-            }
-            self.clocks[i] += 1;
-            let inbox = take_capped(&mut state.inboxes[i], &mut self.scratch, state.receive_cap);
-            step_node(node, i, now, state.seed, &suspects, inbox, &mut self.staged);
-        }
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::OnRound, now, 0, t_step.unwrap());
-        }
-
-        let t_route = self.obs.as_ref().map(|_| Instant::now());
-        let seed = self.core.seed();
-        let latency = self.latency;
-        self.core
-            .route_batch_timed(&mut self.staged, |src, dst, sequence| {
-                latency.sample(seed, src, dst, now, sequence, 0)
-            });
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::RouteShard, now, 0, t_route.unwrap());
-        }
-
-        let t_finish = self.obs.as_ref().map(|_| Instant::now());
-        // Timers fire at the end of their tick, before time advances —
-        // the instant the round engines run their end-of-round sweep,
-        // so `const:1` runs replay them exactly.
-        let fired = self.timers.fire_due(now);
-        if fired.iter().any(|(_, kind)| *kind == TimerKind::Retransmit) {
-            self.retx_timer = None;
-            self.core.process_due_retransmissions_timed(
-                |src, dst, orig_round, orig_seq, attempt| {
-                    latency.sample(seed, src, dst, orig_round, orig_seq, attempt)
-                },
-            );
-        }
-        self.rearm_retransmission_timer();
-        self.core.finish_tick();
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::FinishRound, now, 0, t_finish.unwrap());
-            // Profiler self-cost: time the recorder's own round-close
-            // bookkeeping as a `Telemetry` span (profiling only).
-            let t_tel = rec.profiling_enabled().then(Instant::now);
-            let row = *self.core.metrics().rounds().last().expect("open round row");
-            rec.end_round(round_obs(now, &row));
-            if let Some(t) = t_tel {
-                rec.span_from(Phase::Telemetry, now, 0, t);
-            }
-        }
     }
 
     /// Keeps exactly one armed wake-up, tracking the earliest due slot
@@ -331,8 +157,7 @@ impl<N: Node> EventEngine<N> {
     /// head moved after a drain or a new earlier park) and arms the
     /// current deadline. Missing a deadline would silently disable
     /// reliable delivery, so the timer wheel is load-bearing here.
-    fn rearm_retransmission_timer(&mut self) {
-        let due = self.core.next_retransmission_due();
+    fn rearm_retransmission_timer(&mut self, due: Option<u64>) {
         if self.retx_timer.map(|t| t.deadline()) == due {
             return;
         }
@@ -343,80 +168,62 @@ impl<N: Node> EventEngine<N> {
             self.retx_timer = Some(self.timers.arm(at, TimerKind::Retransmit));
         }
     }
-
-    /// Runs until `done(nodes)` holds (checked before the first tick
-    /// and after every tick) or `max_ticks` have executed.
-    pub fn run_until(&mut self, max_ticks: u64, done: impl FnMut(&[N]) -> bool) -> RunOutcome {
-        RoundEngine::run_until(self, max_ticks, done)
-    }
-
-    /// Like [`run_until`](Self::run_until), additionally invoking
-    /// `observe(tick, nodes)` after every tick.
-    pub fn run_observed(
-        &mut self,
-        max_ticks: u64,
-        done: impl FnMut(&[N]) -> bool,
-        observe: impl FnMut(u64, &[N]),
-    ) -> RunOutcome {
-        RoundEngine::run_observed(self, max_ticks, done, observe)
-    }
 }
 
-impl<N: Node> RoundEngine<N> for EventEngine<N> {
-    fn step(&mut self) {
-        EventEngine::step(self)
+impl<N: Node> Delivery<N> for Timed<N::Msg> {
+    const JITTER: bool = false;
+
+    fn step(&mut self, nodes: &mut [N], core: &mut EngineCore<N::Msg>, obs: Option<&mut Recorder>) {
+        self.serial.step(nodes, core, obs);
+        let (_, inputs) = core.step_parts();
+        let crashes_possible = inputs.faults.has_crashes();
+        for (i, clock) in self.clocks.iter_mut().enumerate() {
+            if !(crashes_possible && inputs.faults.is_crashed_at(i, inputs.round)) {
+                *clock += 1;
+            }
+        }
     }
 
-    fn nodes(&self) -> &[N] {
-        EventEngine::nodes(self)
+    fn route(&mut self, core: &mut EngineCore<N::Msg>, obs: Option<&mut Recorder>) {
+        let (seed, now, latency) = (core.seed(), core.round(), self.latency);
+        let staged = self.serial.staged();
+        in_span(obs, Phase::RouteShard, now, || {
+            core.route_batch_with(staged, |src, dst, round, seq, attempt| {
+                latency.sample(seed, src, dst, round, seq, attempt)
+            })
+        });
     }
 
-    fn round(&self) -> u64 {
-        self.now()
+    /// Timers fire at the end of their tick, before time advances — the
+    /// instant the round engines run their end-of-round sweep, so
+    /// `const:1` runs replay them exactly.
+    fn close(&mut self, core: &mut EngineCore<N::Msg>) {
+        let fired = self.timers.fire_due(core.round());
+        if fired.iter().any(|(_, kind)| *kind == TimerKind::Retransmit) {
+            self.retx_timer = None;
+            let (seed, latency) = (core.seed(), self.latency);
+            core.retransmit_due(|src, dst, orig_round, orig_seq, attempt| {
+                latency.sample(seed, src, dst, orig_round, orig_seq, attempt)
+            });
+        }
+        self.rearm_retransmission_timer(core.next_retransmission_due());
+        core.finish_tick();
     }
 
-    fn metrics(&self) -> &RunMetrics {
-        EventEngine::metrics(self)
-    }
-
-    fn trace(&self) -> Option<&Trace> {
-        EventEngine::trace(self)
-    }
-
-    fn causal(&self) -> Option<&CausalTrace> {
-        self.core.causal()
-    }
-
-    fn take_causal(&mut self) -> Option<CausalTrace> {
-        self.core.take_causal()
-    }
-
-    fn obs_mut(&mut self) -> Option<&mut Recorder> {
-        self.obs.as_mut()
-    }
-
-    fn take_obs(&mut self) -> Option<Recorder> {
-        self.obs.take()
-    }
-
-    fn pool_counters(&self) -> Vec<(&'static str, u64, u64)> {
-        let stats = self.core.pool_stats();
+    fn pool_counters(&self, core: &EngineCore<N::Msg>) -> Vec<(&'static str, u64, u64)> {
+        let delay = core.pool_stats();
         let (fired, cancelled) = self.timers.stats();
         vec![
-            ("delay", stats.takes, stats.reuses),
+            ("delay", delay.takes, delay.reuses),
             ("timer", fired, cancelled),
         ]
-    }
-
-    fn pool_high_water(&self) -> Vec<(&'static str, u64)> {
-        vec![("delay", self.core.pool_high_water_bytes())]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rd_sim::{Engine, MessageCost, NodeId, RoundContext};
+    use rd_sim::{Engine, Envelope, FaultPlan, MessageCost, NodeId, RetryPolicy, RoundContext};
 
     /// Test payload: a bag of ids.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -591,9 +398,10 @@ mod tests {
         for _ in 0..8 {
             engine.step();
         }
-        assert_eq!(engine.now(), 8);
-        assert_eq!(engine.clocks()[0], 8, "healthy node tracks global time");
-        assert_eq!(engine.clocks()[1], 5, "crashed node lost ticks 2..5");
+        assert_eq!(engine.round(), 8);
+        let clocks = engine.delivery().clocks();
+        assert_eq!(clocks[0], 8, "healthy node tracks global time");
+        assert_eq!(clocks[1], 5, "crashed node lost ticks 2..5");
     }
 
     #[test]
@@ -612,7 +420,7 @@ mod tests {
         let outcome = engine.run_until(100, all_have_token);
         assert!(outcome.completed);
         assert!(engine.metrics().total_retransmissions() >= 1);
-        let (fired, _) = engine.timer_stats();
+        let (fired, _) = engine.delivery().timer_stats();
         assert!(fired >= 1, "retransmissions must ride on timer events");
     }
 

@@ -2,13 +2,16 @@
 
 //! A sharded, multi-threaded execution engine for large discovery runs.
 //!
-//! [`ShardedEngine`] drives the same [`Node`] programs as the sequential
-//! [`rd_sim::Engine`], at the same [`RoundEngine`] interface, but steps
-//! nodes on several worker threads per round. The population is sharded
+//! [`ShardedEngine`] is `rd-sim`'s one [`DeliveryEngine`] under the
+//! [`Sharded`] delivery policy: it drives the same [`Node`] programs as
+//! the sequential [`rd_sim::Engine`], with the same builder, accessors
+//! and [`RoundEngine`](rd_sim::RoundEngine) contract, but steps nodes
+//! on several worker threads per round. The population is sharded
 //! *statically by `NodeId`* into contiguous blocks — one block of nodes
 //! and the matching block of mailboxes per worker — so workers need no
 //! locks: each owns its slice of nodes and inboxes for the duration of
-//! the stepping phase.
+//! the stepping phase. The first shard runs on the calling thread, so a
+//! single worker spawns no thread at all.
 //!
 //! # Determinism
 //!
@@ -35,12 +38,14 @@
 //!    produces.
 //!
 //! Round bookkeeping and the routing/accounting primitives are
-//! inherited from [`EngineCore`] — the single accounting layer both
-//! engines use, so metrics and fault semantics cannot drift between
+//! inherited from [`EngineCore`] — the single accounting layer every
+//! engine uses, so metrics and fault semantics cannot drift between
 //! them. Both the node-stepping phase and the routing phase are fanned
 //! out across `crossbeam` scoped threads; shard-local routing results
 //! ([`rd_sim::engine_core::RouteDelta`]) fold associatively back into
-//! the core's metrics, trace, and delay queue.
+//! the core's metrics, trace, and delay queue. The policy lives in this
+//! crate rather than in `rd-sim` because `rd-sim` takes no threading
+//! dependency.
 //!
 //! # Example
 //!
@@ -88,13 +93,10 @@
 //! assert_eq!(sharded.metrics(), sequential.metrics());
 //! ```
 
-use rd_obs::{CausalTrace, Phase, Recorder, SpanEvent};
-use rd_sim::engine_core::{
-    merge_dest_shard, route_shard, step_node, take_capped, EngineCore, RouteDelta, RouteParams,
-};
+use rd_obs::{Phase, Recorder, SpanEvent};
+use rd_sim::engine_core::{merge_dest_shard, route_shard, EngineCore, RouteDelta, RouteParams};
 use rd_sim::{
-    round_obs, BufferPool, Envelope, FaultPlan, MessageCost, Node, RetryPolicy, RoundEngine,
-    RunMetrics, RunOutcome, Trace,
+    in_span, BufferPool, Delivery, DeliveryEngine, Envelope, FromParam, MessageCost, Node, NodeLane,
 };
 use std::time::Instant;
 
@@ -106,347 +108,189 @@ use std::time::Instant;
 /// equivalence tests.)
 const PARALLEL_MERGE_MIN_MESSAGES: usize = 4096;
 
-/// The staged/scratch buffer pair one stepping worker owns for a round.
-type ShardBufs<M> = (Vec<Envelope<M>>, Vec<Envelope<M>>);
-
 /// Deliverable messages tagged with their extra delay, one bucket per
 /// destination shard.
 type RoutedBuckets<M> = Vec<Vec<(u64, Envelope<M>)>>;
 
-/// A round engine that steps nodes on `workers` threads.
-///
-/// Construction and the builder knobs mirror [`rd_sim::Engine`]; see the
-/// [crate docs](crate) for the sharding scheme and the determinism
-/// argument.
-pub struct ShardedEngine<N: Node> {
-    nodes: Vec<N>,
-    core: EngineCore<N::Msg>,
+/// One destination shard's merge inputs: its mailboxes and recv-tally
+/// lanes, the per-worker bucket parts addressed to it, and its delayed
+/// deliveries.
+type MergeJob<'a, M> = (
+    (&'a mut [Vec<Envelope<M>>], &'a mut [NodeLane]),
+    (&'a mut RoutedBuckets<M>, &'a mut Vec<(u64, Envelope<M>)>),
+);
+
+/// A round engine that steps nodes on `workers` threads:
+/// `ShardedEngine::new(nodes, seed, workers)`. The builder knobs and
+/// accessors are those of every [`DeliveryEngine`]; see the [crate
+/// docs](crate) for the sharding scheme and the determinism argument.
+pub type ShardedEngine<N> = DeliveryEngine<N, Sharded<<N as Node>::Msg>>;
+
+/// The sharded delivery policy: contiguous node shards stepped in
+/// parallel, then routed through [`route_staged`].
+pub struct Sharded<M> {
     workers: usize,
     /// Recycled staging/scratch buffers for the stepping phase.
-    env_pool: BufferPool<Envelope<N::Msg>>,
+    env_pool: BufferPool<Envelope<M>>,
     /// Recycled bucket/delay buffers for the routing phase.
-    routed_pool: BufferPool<(u64, Envelope<N::Msg>)>,
-    /// The attached telemetry recorder, if observability is enabled.
-    /// Strictly outside deterministic state: wall-clock flows *into* it,
-    /// never back into the run.
-    obs: Option<Recorder>,
+    routed_pool: BufferPool<(u64, Envelope<M>)>,
+    /// This round's staged sends, one buffer per shard, held from the
+    /// stepping phase to the routing phase.
+    staged: Vec<Vec<Envelope<M>>>,
 }
 
-impl<N> ShardedEngine<N>
+impl<M> FromParam for Sharded<M> {
+    type Param = usize;
+
+    /// # Panics
+    ///
+    /// Panics if `workers == 0`.
+    fn from_param(workers: usize, _node_count: usize) -> Self {
+        assert!(workers > 0, "a sharded engine needs at least one worker");
+        Sharded {
+            workers,
+            env_pool: BufferPool::new(),
+            routed_pool: BufferPool::new(),
+            staged: Vec::new(),
+        }
+    }
+}
+
+impl<M> Sharded<M> {
+    /// Nodes per shard: contiguous blocks of ⌈n / workers⌉ nodes, the
+    /// final shard possibly short.
+    fn shard_len(&self, n: usize) -> usize {
+        n.div_ceil(self.workers.min(n).max(1)).max(1)
+    }
+}
+
+/// Runs `job` over `items` — the first on the calling thread, each other
+/// on a scoped thread of its own — and returns the results in item
+/// order. A panicking job (e.g. a panicking node program) panics the
+/// caller, exactly as in the sequential engine.
+fn fan_out<I, R>(items: impl IntoIterator<Item = I>, job: impl Fn(usize, I) -> R + Sync) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+{
+    let mut items = items.into_iter().enumerate();
+    let Some((_, first)) = items.next() else {
+        return Vec::new();
+    };
+    let job = &job;
+    let scoped = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .map(|(i, item)| scope.spawn(move |_| job(i, item)))
+            .collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(job(0, first));
+        for handle in handles {
+            match handle.join() {
+                Ok(r) => out.push(r),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    });
+    match scoped {
+        Ok(out) => out,
+        Err(payload) => std::panic::resume_unwind(payload),
+    }
+}
+
+/// Times `f` as a `phase` span of `worker` against the recorder's
+/// `epoch`, when one is attached.
+fn timed<R>(
+    epoch: Option<Instant>,
+    phase: Phase,
+    round: u64,
+    worker: usize,
+    f: impl FnOnce() -> R,
+) -> (R, Option<SpanEvent>) {
+    let start = epoch.map(|_| Instant::now());
+    let out = f();
+    let span = epoch.map(|e| {
+        SpanEvent::from_instants(
+            e,
+            phase,
+            round,
+            worker as u32,
+            start.unwrap(),
+            Instant::now(),
+        )
+    });
+    (out, span)
+}
+
+impl<N> Delivery<N> for Sharded<N::Msg>
 where
     N: Node + Send,
     N::Msg: Send,
 {
-    /// Creates an engine over `nodes` with the given worker-thread
-    /// count, where node `i` has identifier `NodeId::new(i)`. `seed`
-    /// determines all protocol and fault randomness, exactly as in the
-    /// sequential engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn new(nodes: Vec<N>, seed: u64, workers: usize) -> Self {
-        assert!(workers > 0, "a sharded engine needs at least one worker");
-        let core = EngineCore::new(nodes.len(), seed);
-        ShardedEngine {
-            nodes,
-            core,
-            workers,
-            env_pool: BufferPool::new(),
-            routed_pool: BufferPool::new(),
-            obs: None,
-        }
-    }
-
-    /// Attaches a telemetry [`Recorder`]: phases are timed per worker,
-    /// rounds are recorded, and attached sinks export at run end.
-    /// Purely observational — a run with a recorder is bit-identical to
-    /// the same run without one, for every worker count.
-    pub fn with_obs(mut self, mut recorder: Recorder) -> Self {
-        // One-time message-cost registration: the profiler attributes
-        // per-kind byte costs at finish from these constants plus the
-        // deterministic round counters (no-op unless profiling is on).
-        recorder.profile_msg_kind(
-            rd_sim::short_type_name::<N::Msg>(),
-            std::mem::size_of::<Envelope<N::Msg>>() as u64,
-            std::mem::size_of::<rd_sim::NodeId>() as u64,
-        );
-        self.obs = Some(recorder);
-        self
-    }
-
-    /// Installs a fault plan (drops, crashes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan crashes a node index that does not exist.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.core.set_faults(faults);
-        self
-    }
-
-    /// Enables message tracing with the given event capacity.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.core.enable_trace(capacity);
-        self
-    }
-
-    /// Attaches a causal knowledge-provenance trace, exactly as in the
-    /// sequential engine: sampling is counter-based and offers fold in
-    /// canonical shard order, so the retained DAG is byte-identical for
-    /// every worker count — and attaching it never perturbs the run.
-    pub fn with_causal_trace(mut self, causal: CausalTrace) -> Self {
-        self.core.set_causal(causal);
-        self
-    }
-
-    /// Caps deliveries at `cap` messages per node per round; excess
-    /// messages queue (in arrival order) for later rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn with_receive_cap(mut self, cap: usize) -> Self {
-        self.core.set_receive_cap(cap);
-        self
-    }
-
-    /// Makes delivery asynchronous: every message independently takes
-    /// `1 + U{0..=max_extra}` rounds to arrive instead of exactly one.
-    pub fn with_max_extra_delay(mut self, max_extra: u64) -> Self {
-        self.core.set_max_extra_delay(max_extra);
-        self
-    }
-
-    /// Enables reliable delivery: every dropped message is
-    /// retransmitted under `policy`, exactly as in the sequential
-    /// engine (retransmissions are processed serially at round close,
-    /// so they stay bit-identical across worker counts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy's timeout or retry budget is 0.
-    pub fn with_reliable_delivery(mut self, policy: RetryPolicy) -> Self {
-        self.core.set_reliable(policy);
-        self
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The configured worker-thread count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Read access to the node programs.
-    pub fn nodes(&self) -> &[N] {
-        &self.nodes
-    }
-
-    /// Rounds executed so far.
-    pub fn round(&self) -> u64 {
-        self.core.round()
-    }
-
-    /// The complexity record.
-    pub fn metrics(&self) -> &RunMetrics {
-        self.core.metrics()
-    }
-
-    /// The message trace, if enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.core.trace()
-    }
-
-    /// The causal provenance trace, if enabled.
-    pub fn causal(&self) -> Option<&CausalTrace> {
-        self.core.causal()
-    }
-
-    /// Records the closed round into the recorder, if one is attached.
-    fn observe_round_end(&mut self, round: u64, t_finish: Option<Instant>) {
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::FinishRound, round, 0, t_finish.unwrap());
-            // Under profiling, the recorder's own round-close
-            // bookkeeping is timed as a `Telemetry` span so the
-            // profiler's self-cost shows up in the attribution instead
-            // of inflating the unattributed remainder.
-            let t_tel = rec.profiling_enabled().then(Instant::now);
-            let row = *self
-                .core
-                .metrics()
-                .rounds()
-                .last()
-                .expect("finish_round closed a row");
-            rec.end_round(round_obs(round, &row));
-            if let Some(t) = t_tel {
-                rec.span_from(Phase::Telemetry, round, 0, t);
-            }
-        }
-    }
-
-    /// Executes one synchronous round; see the [crate docs](crate) for
-    /// the three phases and which of them run in parallel.
-    pub fn step(&mut self) {
-        if let Some(rec) = &mut self.obs {
-            rec.begin_round();
-        }
-        let t_begin = self.obs.as_ref().map(|_| Instant::now());
-        let round = self.core.begin_round();
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::BeginRound, round, 0, t_begin.unwrap());
-        }
-        let suspects = self.core.suspects().to_vec();
-        let n = self.nodes.len();
-        // Contiguous blocks of ⌈n / workers⌉ nodes; the final shard may
-        // be short. A worker without nodes is never spawned.
-        let workers = self.workers.min(n).max(1);
-        let shard_len = n.div_ceil(workers).max(1);
-
-        if workers == 1 {
-            // One worker degenerates to the sequential loop; skip the
-            // thread machinery (and its overhead) entirely.
-            let mut staged = self.env_pool.take();
-            let mut scratch = self.env_pool.take();
-            let t_step = self.obs.as_ref().map(|_| Instant::now());
-            let state = self.core.step_state();
-            let crashes_possible = state.faults.has_crashes();
-            for (i, node) in self.nodes.iter_mut().enumerate() {
-                if crashes_possible && state.faults.is_crashed_at(i, round) {
-                    // Crashed nodes neither run nor receive; their
-                    // pending deliveries are consumed and lost.
-                    state.inboxes[i].clear();
-                    continue;
-                }
-                let inbox = take_capped(&mut state.inboxes[i], &mut scratch, state.receive_cap);
-                step_node(node, i, round, state.seed, &suspects, inbox, &mut staged);
-            }
-            if let Some(rec) = &mut self.obs {
-                rec.span_from(Phase::OnRound, round, 0, t_step.unwrap());
-            }
-            let t_route = self.obs.as_ref().map(|_| Instant::now());
-            self.core.route_batch(&mut staged);
-            if let Some(rec) = &mut self.obs {
-                rec.span_from(Phase::RouteShard, round, 0, t_route.unwrap());
-            }
-            self.env_pool.put(staged);
-            self.env_pool.put(scratch);
-            let t_finish = self.obs.as_ref().map(|_| Instant::now());
-            self.core.finish_round();
-            self.observe_round_end(round, t_finish);
-            return;
-        }
-
-        let shard_count = n.div_ceil(shard_len);
-        let mut bufs: Vec<ShardBufs<N::Msg>> = (0..shard_count)
+    /// Steps each shard on its own worker (the first on the calling
+    /// thread). Workers time their own slice against the recorder's
+    /// shared epoch (`Instant` is `Copy + Send`); the spans fold back in
+    /// shard order after the join, so telemetry never races.
+    fn step(&mut self, nodes: &mut [N], core: &mut EngineCore<N::Msg>, obs: Option<&mut Recorder>) {
+        let shard_len = self.shard_len(nodes.len());
+        let shard_count = nodes.len().div_ceil(shard_len).max(1);
+        let mut bufs: Vec<_> = (0..shard_count)
             .map(|_| (self.env_pool.take(), self.env_pool.take()))
             .collect();
-
-        // Workers time their own stepping slice against the recorder's
-        // shared epoch (`Instant` is `Copy + Send`); the spans fold back
-        // in shard order after the join, so telemetry never races.
-        let epoch = self.obs.as_ref().map(|rec| rec.epoch());
-        let state = self.core.step_state();
-        let step_spans = {
-            let faults = state.faults;
-            let crashes_possible = faults.has_crashes();
-            let seed = state.seed;
-            let cap = state.receive_cap;
-            let suspects = &suspects[..];
-            let node_shards = self.nodes.chunks_mut(shard_len);
-            let inbox_shards = state.inboxes.chunks_mut(shard_len);
-            let stepped = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = node_shards
-                    .zip(inbox_shards)
-                    .zip(bufs.iter_mut())
-                    .enumerate()
-                    .map(|(shard, ((nodes, inboxes), (staged, scratch)))| {
-                        scope.spawn(move |_| {
-                            let start = epoch.map(|_| Instant::now());
-                            for (offset, node) in nodes.iter_mut().enumerate() {
-                                let i = shard * shard_len + offset;
-                                if crashes_possible && faults.is_crashed_at(i, round) {
-                                    inboxes[offset].clear();
-                                    continue;
-                                }
-                                let inbox = take_capped(&mut inboxes[offset], scratch, cap);
-                                step_node(node, i, round, seed, suspects, inbox, staged);
-                            }
-                            epoch.map(|e| {
-                                SpanEvent::from_instants(
-                                    e,
-                                    Phase::OnRound,
-                                    round,
-                                    shard as u32,
-                                    start.unwrap(),
-                                    Instant::now(),
-                                )
-                            })
-                        })
-                    })
-                    .collect();
-                // Join in shard order. A panicking node program panics
-                // the engine, exactly as in the sequential engine.
-                let mut spans = Vec::new();
-                for handle in handles {
-                    match handle.join() {
-                        Ok(Some(span)) => spans.push(span),
-                        Ok(None) => {}
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-                spans
-            });
-            match stepped {
-                Ok(spans) => spans,
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        };
-        if let Some(rec) = &mut self.obs {
-            for span in step_spans {
+        let epoch = obs.as_ref().map(|rec| rec.epoch());
+        let (inboxes, inputs) = core.step_parts();
+        let shards = nodes
+            .chunks_mut(shard_len)
+            .zip(inboxes.chunks_mut(shard_len))
+            .zip(bufs.iter_mut());
+        let spans = fan_out(shards, |shard, ((nodes, inboxes), (staged, scratch))| {
+            timed(epoch, Phase::OnRound, inputs.round, shard, || {
+                inputs.step_block(nodes, inboxes, shard * shard_len, staged, scratch)
+            })
+            .1
+        });
+        if let Some(rec) = obs {
+            for span in spans.into_iter().flatten() {
                 rec.record_span(span);
             }
         }
-
-        let mut staged_shards: Vec<Vec<Envelope<N::Msg>>> = Vec::with_capacity(shard_count);
         for (staged, scratch) in bufs {
             self.env_pool.put(scratch);
-            staged_shards.push(staged);
+            self.staged.push(staged);
         }
+    }
 
+    fn route(&mut self, core: &mut EngineCore<N::Msg>, obs: Option<&mut Recorder>) {
+        let shard_len = self.shard_len(core.node_count());
         route_staged(
-            &mut self.core,
-            &mut staged_shards,
+            core,
+            &mut self.staged,
             shard_len,
             &mut self.routed_pool,
-            self.obs.as_mut(),
+            obs,
         );
-        for staged in staged_shards {
+        for staged in self.staged.drain(..) {
             self.env_pool.put(staged);
         }
-        let t_finish = self.obs.as_ref().map(|_| Instant::now());
-        self.core.finish_round();
-        self.observe_round_end(round, t_finish);
     }
 
-    /// Runs until `done(nodes)` holds (checked before the first round and
-    /// after every round) or `max_rounds` have executed.
-    pub fn run_until(&mut self, max_rounds: u64, done: impl FnMut(&[N]) -> bool) -> RunOutcome {
-        RoundEngine::run_until(self, max_rounds, done)
+    fn pool_counters(&self, core: &EngineCore<N::Msg>) -> Vec<(&'static str, u64, u64)> {
+        let delay = core.pool_stats();
+        let env = self.env_pool.stats();
+        let routed = self.routed_pool.stats();
+        vec![
+            ("delay", delay.takes, delay.reuses),
+            ("env", env.takes, env.reuses),
+            ("routed", routed.takes, routed.reuses),
+        ]
     }
 
-    /// Like [`run_until`](Self::run_until), additionally invoking
-    /// `observe(round, nodes)` after every round.
-    pub fn run_observed(
-        &mut self,
-        max_rounds: u64,
-        done: impl FnMut(&[N]) -> bool,
-        observe: impl FnMut(u64, &[N]),
-    ) -> RunOutcome {
-        RoundEngine::run_observed(self, max_rounds, done, observe)
+    fn pool_high_water(&self, core: &EngineCore<N::Msg>) -> Vec<(&'static str, u64)> {
+        vec![
+            ("delay", core.pool_high_water_bytes()),
+            ("env", self.env_pool.high_water_bytes()),
+            ("routed", self.routed_pool.high_water_bytes()),
+        ]
     }
 }
 
@@ -486,19 +330,16 @@ pub fn route_staged<M: MessageCost + Send>(
 ) {
     if staged_shards.len() <= 1 {
         if let Some(staged) = staged_shards.first_mut() {
-            let round = core.round();
-            let start = obs.as_ref().map(|_| Instant::now());
-            core.route_batch(staged);
-            if let Some(rec) = obs {
-                rec.span_from(Phase::RouteShard, round, 0, start.unwrap());
-            }
+            in_span(obs, Phase::RouteShard, core.round(), || {
+                core.route_batch(staged)
+            });
         }
         return;
     }
     let epoch = obs.as_ref().map(|rec| rec.epoch());
     let shard_count = staged_shards.len();
     let total_messages: usize = staged_shards.iter().map(Vec::len).sum();
-    let mut bucket_sets: Vec<RoutedBuckets<M>> = (0..shard_count)
+    let bucket_sets: Vec<RoutedBuckets<M>> = (0..shard_count)
         .map(|_| (0..shard_count).map(|_| routed_pool.take()).collect())
         .collect();
     let mut delayed_lists: Vec<Vec<(u64, Envelope<M>)>> =
@@ -517,57 +358,22 @@ pub fn route_staged<M: MessageCost + Send>(
         shard_len,
     };
     let round = params.round;
+    let mut spans = Vec::new();
 
     // Route phase: one worker per sender shard, each writing only its
     // own shard's sent-tally lanes and its own destination buckets.
-    let (mut deltas, route_spans): (Vec<RouteDelta<M>>, Vec<SpanEvent>) = {
-        let sent_lanes = parts.node_lanes.chunks_mut(shard_len);
-        let routed = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = staged_shards
-                .iter_mut()
-                .zip(sent_lanes)
-                .zip(bucket_sets.drain(..))
-                .enumerate()
-                .map(|(w, ((staged, sent_lanes), buckets))| {
-                    scope.spawn(move |_| {
-                        let start = epoch.map(|_| Instant::now());
-                        let delta = route_shard(params, staged, w * shard_len, sent_lanes, buckets);
-                        let span = epoch.map(|e| {
-                            SpanEvent::from_instants(
-                                e,
-                                Phase::RouteShard,
-                                round,
-                                w as u32,
-                                start.unwrap(),
-                                Instant::now(),
-                            )
-                        });
-                        (delta, span)
-                    })
-                })
-                .collect();
-            let mut deltas = Vec::with_capacity(handles.len());
-            let mut spans = Vec::new();
-            for handle in handles {
-                match handle.join() {
-                    Ok((delta, span)) => {
-                        deltas.push(delta);
-                        spans.extend(span);
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            (deltas, spans)
-        });
-        match routed {
-            Ok(out) => out,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    };
-    if let Some(rec) = obs.as_deref_mut() {
-        for span in route_spans {
-            rec.record_span(span);
-        }
+    let route_jobs = staged_shards
+        .iter_mut()
+        .zip(parts.node_lanes.chunks_mut(shard_len))
+        .zip(bucket_sets);
+    let mut deltas: Vec<RouteDelta<M>> = Vec::with_capacity(shard_count);
+    for (delta, span) in fan_out(route_jobs, |w, ((staged, sent_lanes), buckets)| {
+        timed(epoch, Phase::RouteShard, round, w, || {
+            route_shard(params, staged, w * shard_len, sent_lanes, buckets)
+        })
+    }) {
+        deltas.push(delta);
+        spans.extend(span);
     }
 
     // Transpose: per destination shard, the per-worker bucket parts in
@@ -583,83 +389,31 @@ pub fn route_staged<M: MessageCost + Send>(
 
     // Merge phase: one job per destination shard, each owning its
     // shard's mailboxes and recv-tally lanes.
-    {
-        let merge_jobs = parts
-            .inboxes
-            .chunks_mut(shard_len)
-            .zip(parts.node_lanes.chunks_mut(shard_len))
-            .zip(per_dest.iter_mut().zip(delayed_lists.iter_mut()))
-            .enumerate();
-        let merge_spans: Vec<SpanEvent> = if total_messages >= PARALLEL_MERGE_MIN_MESSAGES {
-            let merged = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = merge_jobs
-                    .map(|(d, ((inboxes, recv_lanes), (parts_d, delayed)))| {
-                        scope.spawn(move |_| {
-                            let start = epoch.map(|_| Instant::now());
-                            merge_dest_shard(
-                                round,
-                                d * shard_len,
-                                parts_d,
-                                inboxes,
-                                recv_lanes,
-                                delayed,
-                            );
-                            epoch.map(|e| {
-                                SpanEvent::from_instants(
-                                    e,
-                                    Phase::MergeDestShard,
-                                    round,
-                                    d as u32,
-                                    start.unwrap(),
-                                    Instant::now(),
-                                )
-                            })
-                        })
-                    })
-                    .collect();
-                let mut spans = Vec::new();
-                for handle in handles {
-                    match handle.join() {
-                        Ok(span) => spans.extend(span),
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-                spans
-            });
-            match merged {
-                Ok(spans) => spans,
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        } else {
-            let mut spans = Vec::new();
-            for (d, ((inboxes, recv_lanes), (parts_d, delayed))) in merge_jobs {
-                let start = epoch.map(|_| Instant::now());
-                merge_dest_shard(round, d * shard_len, parts_d, inboxes, recv_lanes, delayed);
-                if let Some(e) = epoch {
-                    spans.push(SpanEvent::from_instants(
-                        e,
-                        Phase::MergeDestShard,
-                        round,
-                        d as u32,
-                        start.unwrap(),
-                        Instant::now(),
-                    ));
-                }
-            }
-            spans
-        };
-        if let Some(rec) = obs.as_deref_mut() {
-            for span in merge_spans {
-                rec.record_span(span);
-            }
+    let merge_jobs = parts
+        .inboxes
+        .chunks_mut(shard_len)
+        .zip(parts.node_lanes.chunks_mut(shard_len))
+        .zip(per_dest.iter_mut().zip(delayed_lists.iter_mut()));
+    let merge = |d: usize, ((inboxes, recv_lanes), (parts_d, delayed)): MergeJob<'_, M>| {
+        timed(epoch, Phase::MergeDestShard, round, d, || {
+            merge_dest_shard(round, d * shard_len, parts_d, inboxes, recv_lanes, delayed)
+        })
+        .1
+    };
+    if total_messages >= PARALLEL_MERGE_MIN_MESSAGES {
+        spans.extend(fan_out(merge_jobs, merge).into_iter().flatten());
+    } else {
+        spans.extend(merge_jobs.enumerate().filter_map(|(d, job)| merge(d, job)));
+    }
+    if let Some(rec) = obs.as_deref_mut() {
+        for span in spans {
+            rec.record_span(span);
         }
     }
 
-    let t_apply = obs.as_ref().map(|_| Instant::now());
-    core.apply_route_deltas(&mut deltas, &mut delayed_lists);
-    if let Some(rec) = obs {
-        rec.span_from(Phase::ApplyDeltas, round, 0, t_apply.unwrap());
-    }
+    in_span(obs, Phase::ApplyDeltas, round, || {
+        core.apply_route_deltas(&mut deltas, &mut delayed_lists)
+    });
     for set in per_dest {
         for bucket in set {
             routed_pool.put(bucket);
@@ -670,71 +424,10 @@ pub fn route_staged<M: MessageCost + Send>(
     }
 }
 
-impl<N> RoundEngine<N> for ShardedEngine<N>
-where
-    N: Node + Send,
-    N::Msg: Send,
-{
-    fn step(&mut self) {
-        ShardedEngine::step(self)
-    }
-
-    fn nodes(&self) -> &[N] {
-        ShardedEngine::nodes(self)
-    }
-
-    fn round(&self) -> u64 {
-        ShardedEngine::round(self)
-    }
-
-    fn metrics(&self) -> &RunMetrics {
-        ShardedEngine::metrics(self)
-    }
-
-    fn trace(&self) -> Option<&Trace> {
-        ShardedEngine::trace(self)
-    }
-
-    fn causal(&self) -> Option<&CausalTrace> {
-        self.core.causal()
-    }
-
-    fn take_causal(&mut self) -> Option<CausalTrace> {
-        self.core.take_causal()
-    }
-
-    fn obs_mut(&mut self) -> Option<&mut Recorder> {
-        self.obs.as_mut()
-    }
-
-    fn take_obs(&mut self) -> Option<Recorder> {
-        self.obs.take()
-    }
-
-    fn pool_counters(&self) -> Vec<(&'static str, u64, u64)> {
-        let delay = self.core.pool_stats();
-        let env = self.env_pool.stats();
-        let routed = self.routed_pool.stats();
-        vec![
-            ("delay", delay.takes, delay.reuses),
-            ("env", env.takes, env.reuses),
-            ("routed", routed.takes, routed.reuses),
-        ]
-    }
-
-    fn pool_high_water(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("delay", self.core.pool_high_water_bytes()),
-            ("env", self.env_pool.high_water_bytes()),
-            ("routed", self.routed_pool.high_water_bytes()),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rd_sim::{Engine, MessageCost, NodeId, RoundContext};
+    use rd_sim::{Engine, FaultPlan, MessageCost, NodeId, RetryPolicy, RoundContext};
 
     /// Gossip probe exercising every determinism-sensitive surface:
     /// randomness, fan-out, and inbox contents.

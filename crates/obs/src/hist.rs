@@ -1,8 +1,8 @@
 //! HDR-style log-linear histogram.
 //!
 //! The bucket layout is the classic high-dynamic-range scheme: values
-//! below 2^[`SUB_BITS`] are recorded exactly, and every octave above
-//! that is split into 2^[`SUB_BITS`] linear sub-buckets, so the
+//! below `2^SUB_BITS` are recorded exactly, and every octave above
+//! that is split into `2^SUB_BITS` linear sub-buckets, so the
 //! relative quantile error is bounded by `2^-SUB_BITS` (6.25%) across
 //! the full `u64` range. Memory is lazily grown to the highest bucket
 //! touched — a histogram of round-trip nanoseconds costs a few hundred

@@ -1,5 +1,5 @@
 //! Online SLO monitors: declarative [`AlertRule`]s evaluated against
-//! each [`LiveSnapshot`](crate::LiveSnapshot) as the run executes.
+//! each [`LiveSnapshot`] as the run executes.
 //!
 //! Fired alerts become structured `alert` records in the run archive
 //! (schema v4) and land in the shared [`AlertLog`] side-channel so

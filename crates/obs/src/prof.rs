@@ -14,7 +14,7 @@
 //! the recorder's existing span stream into per-phase attribution
 //! (with ns/envelope), per-round shard utilization and imbalance, and
 //! a memory timeline — the assembled [`ProfileReport`] rides on the
-//! [`ObsReport`](crate::ObsReport) and is exported as archive schema
+//! [`ObsReport`] and is exported as archive schema
 //! v3 `profile_*` records and (optionally) a folded-stack file for
 //! standard flamegraph tooling.
 
@@ -353,8 +353,8 @@ impl ObsSink for FoldedStackSink {
 /// run state and prints to stderr so deterministic stdout reports stay
 /// byte-stable.
 ///
-/// The heartbeat is a *renderer* of [`LiveSnapshot`](crate::
-/// LiveSnapshot)s: throughput accounting lives solely in the
+/// The heartbeat is a *renderer* of [`LiveSnapshot`](crate::LiveSnapshot)s:
+/// throughput accounting lives solely in the
 /// [`LivePublisher`](crate::LivePublisher) that stamps the snapshot,
 /// so the stderr line and the `/status` endpoint can never disagree
 /// (the heartbeat used to recompute its own rounds/s — that duplicate

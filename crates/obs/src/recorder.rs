@@ -12,7 +12,7 @@
 //! At run end the driver calls [`Recorder::finish`], which assembles
 //! the [`ObsReport`] — distributions, phase timings, worker
 //! utilization, hot nodes — and hands it to every attached
-//! [`ObsSink`](crate::ObsSink) for export.
+//! [`ObsSink`] for export.
 
 use crate::hist::Histogram;
 use crate::monitor::Alert;
@@ -195,7 +195,7 @@ impl Recorder {
     /// Enables cost-attribution profiling. Purely additive: a profiled
     /// run is bit-identical to an un-profiled one (wall-clock still
     /// only flows *into* the recorder), but the finished report gains
-    /// a [`ProfileReport`](crate::ProfileReport) and archives move to
+    /// a [`ProfileReport`] and archives move to
     /// schema v3. Chainable.
     pub fn with_profiling(mut self) -> Self {
         self.prof = Some(Profiler::new());

@@ -2,7 +2,7 @@
 //!
 //! A flat, name-keyed metrics store: counters are monotone `u64`s,
 //! gauges are last-write-wins `f64`s, histograms are
-//! [`Histogram`](crate::hist::Histogram)s. Names follow the Prometheus
+//! [`Histogram`]s. Names follow the Prometheus
 //! convention (`snake_case`, `_total` suffix on counters) so the text
 //! exposition is a straight dump. `BTreeMap` keys keep every iteration
 //! order — and therefore every exported artifact — deterministic.

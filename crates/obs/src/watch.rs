@@ -2,7 +2,7 @@
 //! `/status` endpoint.
 //!
 //! The binary polls `http://ADDR/status`, parses the reply with the
-//! serde-free [`Json`](crate::json::Json) parser, and redraws a single
+//! serde-free [`Json`] parser, and redraws a single
 //! fixed-height frame in place. Everything that decides what a frame
 //! looks like lives here — [`render_frame`] is a pure function of the
 //! parsed document plus a rolling [`WatchState`] — so the dashboard is

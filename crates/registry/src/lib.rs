@@ -10,7 +10,7 @@
 //! a deterministic placement function (rendezvous / highest-random-weight
 //! hashing, [`placement`]) assigns every resource key an owner that
 //! every machine computes identically — no further rounds of
-//! coordination, ever. [`Directory`](directory::Directory) wraps the
+//! coordination, ever. [`Directory`] wraps the
 //! placement into lookups and membership-change diffs, and
 //! [`service`] runs the whole pipeline — discovery, then registration,
 //! then lookups — inside the simulator.

@@ -1,6 +1,26 @@
-//! The synchronous round engine.
+//! The round engine: one step skeleton and one builder surface, generic
+//! over a delivery policy.
+//!
+//! [`DeliveryEngine`] owns everything the three engines share — the
+//! node programs, the [`EngineCore`], the optional [`Recorder`], the
+//! builder knobs, the accessors and the [`RoundEngine`] contract — and
+//! runs every round through one skeleton: open the round, step the
+//! nodes, route their sends, close the round, record the round's
+//! telemetry. A [`Delivery`] policy supplies the three middle steps and
+//! nothing else:
+//!
+//! * [`Rounds`] (this crate) — unit-latency synchronous rounds on the
+//!   calling thread: the sequential [`Engine`];
+//! * `rd_exec::Sharded` — threaded stepping over contiguous node shards
+//!   plus the parallel route/merge pipeline: `rd_exec::ShardedEngine`;
+//! * `rd_event::Timed` — a latency model, logical clocks and a timer
+//!   wheel for retransmissions: `rd_event::EventEngine`.
+//!
+//! The policies live in those crates, not here, because the crate graph
+//! is fixed (the benchmark package's lockfile pins it): `rd-sim` takes
+//! no threading dependency, and the latency models stay in `rd-event`.
 
-use crate::engine_core::{step_node, take_capped, EngineCore, RetryPolicy};
+use crate::engine_core::{EngineCore, RetryPolicy};
 use crate::faults::FaultPlan;
 use crate::message::Envelope;
 use crate::metrics::{round_obs, RunMetrics};
@@ -19,20 +39,19 @@ pub struct RunOutcome {
     pub rounds: u64,
 }
 
-/// The driving interface every execution engine exposes: step rounds,
-/// observe nodes, read the clock and the complexity record.
+/// The driving interface of every engine: step rounds, observe nodes,
+/// read the clock and the complexity record.
 ///
-/// [`Engine`] (sequential, this crate) and the sharded engine in
-/// `rd-exec` both implement it, so runners, experiments, and completion
-/// predicates are engine-agnostic. The provided [`run_until`] and
-/// [`run_observed`] loops — including the per-round progress callback —
-/// are therefore shared, not re-implemented per engine.
+/// [`DeliveryEngine`] implements it for every delivery policy, so
+/// runners, experiments and completion predicates are engine-agnostic,
+/// and the provided [`run_until`] and [`run_observed`] loops — including
+/// the per-round progress callback — exist once.
 ///
 /// [`run_until`]: RoundEngine::run_until
 /// [`run_observed`]: RoundEngine::run_observed
 pub trait RoundEngine<N: Node> {
-    /// Executes one synchronous round: delivers current inboxes, runs
-    /// every live node, and routes outboxes through the fault layer.
+    /// Executes one round: delivers current inboxes, runs every live
+    /// node, and routes outboxes through the fault layer.
     fn step(&mut self);
 
     /// Read access to the node programs (for completion predicates,
@@ -51,43 +70,31 @@ pub trait RoundEngine<N: Node> {
     /// The causal knowledge-provenance trace, if enabled. Like the
     /// recorder, it is write-only from the engine's side and never
     /// feeds back into protocol execution.
-    fn causal(&self) -> Option<&CausalTrace> {
-        None
-    }
+    fn causal(&self) -> Option<&CausalTrace>;
 
     /// Detaches the causal provenance trace so the driver can archive
     /// it after the run.
-    fn take_causal(&mut self) -> Option<CausalTrace> {
-        None
-    }
+    fn take_causal(&mut self) -> Option<CausalTrace>;
 
     /// The attached telemetry recorder, if observability is enabled.
     /// Strictly write-only from the engine's side: recorder state never
     /// feeds back into protocol execution.
-    fn obs_mut(&mut self) -> Option<&mut Recorder> {
-        None
-    }
+    fn obs_mut(&mut self) -> Option<&mut Recorder>;
 
     /// Detaches the recorder so the driver can call
     /// [`Recorder::finish`] after the run.
-    fn take_obs(&mut self) -> Option<Recorder> {
-        None
-    }
+    fn take_obs(&mut self) -> Option<Recorder>;
 
     /// `(name, takes, reuses)` counters for every buffer pool the
     /// engine owns (observability export).
-    fn pool_counters(&self) -> Vec<(&'static str, u64, u64)> {
-        Vec::new()
-    }
+    fn pool_counters(&self) -> Vec<(&'static str, u64, u64)>;
 
     /// `(name, peak_bytes)` high-water marks for every buffer pool the
     /// engine owns (profiler export). Like [`pool_counters`], read once
     /// by the driver after the run; never consulted by engine logic.
     ///
     /// [`pool_counters`]: Self::pool_counters
-    fn pool_high_water(&self) -> Vec<(&'static str, u64)> {
-        Vec::new()
-    }
+    fn pool_high_water(&self) -> Vec<(&'static str, u64)>;
 
     /// Runs until `done(nodes)` holds (checked before the first round and
     /// after every round) or `max_rounds` have executed.
@@ -134,47 +141,177 @@ pub trait RoundEngine<N: Node> {
     }
 }
 
-/// Drives a population of [`Node`] programs through synchronous rounds.
+/// How an engine steps its nodes, routes their sends and closes a round:
+/// the only code that differs between engines. See the [module
+/// docs](self) for the three policies.
 ///
-/// Per round, the engine hands every live node its inbox (messages sent
-/// to it in the previous round) together with a deterministic
-/// per-`(seed, node, round)` random generator, then routes the node's
-/// outbox through the fault layer into next-round inboxes, accounting
-/// every message in [`RunMetrics`].
-///
-/// See the crate-level documentation for a complete example.
-pub struct Engine<N: Node> {
-    nodes: Vec<N>,
-    core: EngineCore<N::Msg>,
+/// A policy records the spans of the phases it runs (`OnRound`,
+/// `RouteShard` and, when sharded, `MergeDestShard`/`ApplyDeltas`) into
+/// the recorder it is handed; the skeleton records the rest.
+pub trait Delivery<N: Node> {
+    /// Whether the policy honours the core's uniform-jitter knob
+    /// ([`DeliveryEngine::with_max_extra_delay`]). A policy with a latency
+    /// model of its own does not, and the builder rejects the knob.
+    const JITTER: bool = true;
+
+    /// Steps every live node of the open round, staging their sends.
+    fn step(&mut self, nodes: &mut [N], core: &mut EngineCore<N::Msg>, obs: Option<&mut Recorder>);
+
+    /// Routes the sends staged by [`step`](Self::step) into `core`.
+    fn route(&mut self, core: &mut EngineCore<N::Msg>, obs: Option<&mut Recorder>);
+
+    /// Closes the round (due retransmissions, the causal seal, the
+    /// clock).
+    fn close(&mut self, core: &mut EngineCore<N::Msg>) {
+        core.finish_round();
+    }
+
+    /// `(name, takes, reuses)` counters of every buffer pool the engine
+    /// owns, the core's delay pool first.
+    fn pool_counters(&self, core: &EngineCore<N::Msg>) -> Vec<(&'static str, u64, u64)> {
+        let delay = core.pool_stats();
+        vec![("delay", delay.takes, delay.reuses)]
+    }
+
+    /// `(name, peak_bytes)` high-water marks of the same pools.
+    fn pool_high_water(&self, core: &EngineCore<N::Msg>) -> Vec<(&'static str, u64)> {
+        vec![("delay", core.pool_high_water_bytes())]
+    }
+}
+
+/// A delivery policy built from one parameter — `rd-exec`'s worker
+/// count, `rd-event`'s latency model — so its engine has a three-argument
+/// [`DeliveryEngine::new`].
+pub trait FromParam {
+    /// The parameter.
+    type Param;
+
+    /// Builds the policy for a population of `node_count` nodes.
+    fn from_param(param: Self::Param, node_count: usize) -> Self;
+}
+
+/// Runs `f`, recording it as a `phase` span of worker 0 when a recorder
+/// is attached (without one, no clock is read).
+pub fn in_span<R>(
+    obs: Option<&mut Recorder>,
+    phase: Phase,
+    round: u64,
+    f: impl FnOnce() -> R,
+) -> R {
+    let Some(rec) = obs else { return f() };
+    let start = Instant::now();
+    let out = f();
+    rec.span_from(phase, round, 0, start);
+    out
+}
+
+/// Unit-latency synchronous rounds on the calling thread: every live
+/// node steps in index order, then [`EngineCore::route_batch`] delivers
+/// its sends at the start of the next round. The policy of the
+/// sequential [`Engine`].
+pub struct Rounds<M> {
     /// Round-persistent staging buffer for outgoing envelopes; drained
     /// by routing, so its allocation is reused every round.
-    staged: Vec<Envelope<N::Msg>>,
+    staged: Vec<Envelope<M>>,
     /// Round-persistent scratch buffer for capped inbox delivery.
-    scratch: Vec<Envelope<N::Msg>>,
+    scratch: Vec<Envelope<M>>,
+}
+
+impl<M> Default for Rounds<M> {
+    fn default() -> Self {
+        Rounds {
+            staged: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+}
+
+impl<M> Rounds<M> {
+    /// The sends staged by the last step (the discrete-event policy
+    /// steps through [`Rounds`] and routes these with its own
+    /// latencies).
+    pub fn staged(&mut self) -> &mut Vec<Envelope<M>> {
+        &mut self.staged
+    }
+}
+
+impl<N: Node> Delivery<N> for Rounds<N::Msg> {
+    /// Steps every live node in index order, as one `OnRound` span of
+    /// worker 0.
+    fn step(&mut self, nodes: &mut [N], core: &mut EngineCore<N::Msg>, obs: Option<&mut Recorder>) {
+        let (inboxes, inputs) = core.step_parts();
+        in_span(obs, Phase::OnRound, inputs.round, || {
+            inputs.step_block(nodes, inboxes, 0, &mut self.staged, &mut self.scratch)
+        });
+    }
+
+    fn route(&mut self, core: &mut EngineCore<N::Msg>, obs: Option<&mut Recorder>) {
+        in_span(obs, Phase::RouteShard, core.round(), || {
+            core.route_batch(&mut self.staged)
+        });
+    }
+}
+
+/// One round engine, generic over its [`Delivery`] policy `D`: see the
+/// [module docs](self). The sequential [`Engine`] is
+/// `DeliveryEngine<N, Rounds<_>>`.
+///
+/// Per round, the engine hands every live node its inbox together with
+/// a deterministic per-`(seed, node, round)` random generator, then
+/// routes the node's outbox through the fault layer, accounting every
+/// message in [`RunMetrics`]. Every policy is bit-identical to
+/// [`Rounds`] wherever their delivery models coincide.
+pub struct DeliveryEngine<N: Node, D> {
+    nodes: Vec<N>,
+    core: EngineCore<N::Msg>,
     /// Telemetry recorder; `None` (the default) costs one branch per
     /// phase and never reads a clock.
     obs: Option<Recorder>,
+    delivery: D,
 }
 
-impl<N: Node> Engine<N> {
-    /// Creates an engine over `nodes`, where node `i` has identifier
-    /// `NodeId::new(i)`. `seed` determines all protocol and fault
-    /// randomness.
+/// The sequential round engine: one thread steps every node in index
+/// order, then routes. See the crate-level documentation for an example.
+pub type Engine<N> = DeliveryEngine<N, Rounds<<N as Node>::Msg>>;
+
+impl<N: Node> DeliveryEngine<N, Rounds<N::Msg>> {
+    /// Creates a sequential engine over `nodes`, where node `i` has
+    /// identifier `NodeId::new(i)`. `seed` determines all protocol and
+    /// fault randomness.
     pub fn new(nodes: Vec<N>, seed: u64) -> Self {
+        Self::with_delivery(nodes, seed, Rounds::default())
+    }
+}
+
+impl<N: Node, D: Delivery<N> + FromParam> DeliveryEngine<N, D> {
+    /// Creates an engine over `nodes` whose policy is built from `param`
+    /// (e.g. `ShardedEngine::new(nodes, seed, workers)`).
+    pub fn new(nodes: Vec<N>, seed: u64, param: D::Param) -> Self {
+        let delivery = D::from_param(param, nodes.len());
+        Self::with_delivery(nodes, seed, delivery)
+    }
+}
+
+impl<N: Node, D: Delivery<N>> DeliveryEngine<N, D> {
+    /// Creates an engine over `nodes` delivering under `delivery`, where
+    /// node `i` has identifier `NodeId::new(i)`. `seed` determines all
+    /// protocol, fault and latency randomness.
+    fn with_delivery(nodes: Vec<N>, seed: u64, delivery: D) -> Self {
         let core = EngineCore::new(nodes.len(), seed);
-        Engine {
+        DeliveryEngine {
             nodes,
             core,
-            staged: Vec::new(),
-            scratch: Vec::new(),
             obs: None,
+            delivery,
         }
     }
 
-    /// Attaches a telemetry [`Recorder`]: phases are timed, rounds are
-    /// archived, and the recorder's sinks export at run end. Purely
-    /// observational — a run with a recorder is bit-identical to the
-    /// same run without one.
+    /// Attaches a telemetry [`Recorder`]: phases are timed (per worker
+    /// when sharded), rounds are archived, and the recorder's sinks
+    /// export at run end. Purely observational — a run with a recorder
+    /// is bit-identical to the same run without one. Span rows carry the
+    /// round (the simulated tick, under a latency model) in their round
+    /// field.
     pub fn with_obs(mut self, mut recorder: Recorder) -> Self {
         // One-time message-cost registration: the profiler attributes
         // per-kind byte costs at finish from these constants plus the
@@ -188,7 +325,7 @@ impl<N: Node> Engine<N> {
         self
     }
 
-    /// Installs a fault plan (drops, crashes).
+    /// Installs a fault plan (drops, crashes, partitions).
     ///
     /// # Panics
     ///
@@ -207,8 +344,10 @@ impl<N: Node> Engine<N> {
     /// Attaches a causal knowledge-provenance trace: the routing phase
     /// records, per `(id, node)` pair, the first delivered message that
     /// could have taught `node` about `id` (deterministically sampled
-    /// at the trace's ppm rate). Purely observational — a run with the
-    /// trace is bit-identical to the same run without it.
+    /// at the trace's ppm rate). Sampling is counter-based and sharded
+    /// offers fold in canonical shard order, so the retained DAG is
+    /// byte-identical for every worker count. Purely observational — a
+    /// run with the trace is bit-identical to the same run without it.
     pub fn with_causal_trace(mut self, causal: CausalTrace) -> Self {
         self.core.set_causal(causal);
         self
@@ -233,7 +372,17 @@ impl<N: Node> Engine<N> {
     /// With this knob the round counter reads as *time units* and the
     /// synchronized phase structure of round-based protocols is
     /// deliberately scrambled — the robustness-to-asynchrony experiment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_extra > 0` and the policy has a latency model of
+    /// its own ([`Delivery::JITTER`] is false), which supersedes the
+    /// knob.
     pub fn with_max_extra_delay(mut self, max_extra: u64) -> Self {
+        assert!(
+            D::JITTER || max_extra == 0,
+            "the latency model supersedes the uniform-jitter knob"
+        );
         self.core.set_max_extra_delay(max_extra);
         self
     }
@@ -251,18 +400,13 @@ impl<N: Node> Engine<N> {
         self
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Read access to the node programs (for completion predicates,
     /// verification, and white-box observations such as cluster counts).
     pub fn nodes(&self) -> &[N] {
         &self.nodes
     }
 
-    /// Rounds executed so far.
+    /// Rounds executed so far (simulated ticks, under a latency model).
     pub fn round(&self) -> u64 {
         self.core.round()
     }
@@ -282,59 +426,28 @@ impl<N: Node> Engine<N> {
         self.core.causal()
     }
 
-    /// Executes one synchronous round: delivers current inboxes, runs
-    /// every live node, and routes outboxes through the fault layer.
+    /// The delivery policy (e.g. the event engine's clocks and timers).
+    pub fn delivery(&self) -> &D {
+        &self.delivery
+    }
+
+    /// Executes one round: opens it, lets the policy step the nodes and
+    /// route their sends, closes it, and records its telemetry.
     pub fn step(&mut self) {
+        let round = self.core.round();
         if let Some(rec) = &mut self.obs {
             rec.begin_round();
         }
-        let t_begin = self.obs.as_ref().map(|_| Instant::now());
-        let round = self.core.begin_round();
+        in_span(self.obs.as_mut(), Phase::BeginRound, round, || {
+            self.core.begin_round()
+        });
+        self.delivery
+            .step(&mut self.nodes, &mut self.core, self.obs.as_mut());
+        self.delivery.route(&mut self.core, self.obs.as_mut());
+        in_span(self.obs.as_mut(), Phase::FinishRound, round, || {
+            self.delivery.close(&mut self.core)
+        });
         if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::BeginRound, round, 0, t_begin.unwrap());
-        }
-        // Cloned so the report can be lent to nodes while the engine
-        // mutates them (the list is tiny: one entry per crash).
-        let suspects = self.core.suspects().to_vec();
-
-        let t_step = self.obs.as_ref().map(|_| Instant::now());
-        let state = self.core.step_state();
-        // Hoisted: with no crashes scheduled (the common case) the
-        // per-node map probe below is skipped entirely.
-        let crashes_possible = state.faults.has_crashes();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if crashes_possible && state.faults.is_crashed_at(i, round) {
-                // Crashed nodes neither run nor receive; their pending
-                // deliveries are consumed and lost.
-                state.inboxes[i].clear();
-                continue;
-            }
-            let inbox = take_capped(&mut state.inboxes[i], &mut self.scratch, state.receive_cap);
-            step_node(
-                node,
-                i,
-                round,
-                state.seed,
-                &suspects,
-                inbox,
-                &mut self.staged,
-            );
-        }
-
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::OnRound, round, 0, t_step.unwrap());
-        }
-
-        let t_route = self.obs.as_ref().map(|_| Instant::now());
-        self.core.route_batch(&mut self.staged);
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::RouteShard, round, 0, t_route.unwrap());
-        }
-
-        let t_finish = self.obs.as_ref().map(|_| Instant::now());
-        self.core.finish_round();
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::FinishRound, round, 0, t_finish.unwrap());
             // Under profiling, the recorder's own round-close
             // bookkeeping is timed as a `Telemetry` span so the
             // profiler's self-cost shows up in the attribution instead
@@ -367,25 +480,25 @@ impl<N: Node> Engine<N> {
     }
 }
 
-impl<N: Node> RoundEngine<N> for Engine<N> {
+impl<N: Node, D: Delivery<N>> RoundEngine<N> for DeliveryEngine<N, D> {
     fn step(&mut self) {
-        Engine::step(self)
+        DeliveryEngine::step(self)
     }
 
     fn nodes(&self) -> &[N] {
-        Engine::nodes(self)
+        &self.nodes
     }
 
     fn round(&self) -> u64 {
-        Engine::round(self)
+        self.core.round()
     }
 
     fn metrics(&self) -> &RunMetrics {
-        Engine::metrics(self)
+        self.core.metrics()
     }
 
     fn trace(&self) -> Option<&Trace> {
-        Engine::trace(self)
+        self.core.trace()
     }
 
     fn causal(&self) -> Option<&CausalTrace> {
@@ -405,12 +518,11 @@ impl<N: Node> RoundEngine<N> for Engine<N> {
     }
 
     fn pool_counters(&self) -> Vec<(&'static str, u64, u64)> {
-        let stats = self.core.pool_stats();
-        vec![("delay", stats.takes, stats.reuses)]
+        self.delivery.pool_counters(&self.core)
     }
 
     fn pool_high_water(&self) -> Vec<(&'static str, u64)> {
-        vec![("delay", self.core.pool_high_water_bytes())]
+        self.delivery.pool_high_water(&self.core)
     }
 }
 

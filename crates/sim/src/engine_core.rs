@@ -2,23 +2,23 @@
 //!
 //! [`EngineCore`] owns everything about a run *except* the node programs:
 //! mailboxes, the round counter, metrics, the fault layer, tracing, the
-//! failure-detector schedule, receive caps, and delay jitter. The
-//! sequential [`Engine`](crate::Engine) in this crate and the sharded
-//! engine in `rd-exec` are both thin drivers over this core, so
+//! failure-detector schedule, receive caps, and delay jitter. Every
+//! engine — the one [`DeliveryEngine`](crate::DeliveryEngine), under
+//! whichever delivery policy — is a thin driver over this core, so
 //! accounting and fault semantics cannot drift between them.
 //!
 //! A round splits into three phases every engine performs identically:
 //!
 //! 1. [`EngineCore::begin_round`] — metrics, detector reports, and
 //!    delivery of delay-expired messages;
-//! 2. node stepping — the engine takes each live node's inbox (via
-//!    [`take_capped`]) and runs it with [`step_node`]; node steps are
-//!    order-independent because each draws from a private
+//! 2. node stepping — [`StepInputs::step_block`] takes each live node's
+//!    inbox (via [`take_capped`]) and runs it with [`step_node`]; node
+//!    steps are order-independent because each draws from a private
 //!    per-`(seed, node, round)` random stream, which is what makes
 //!    parallel stepping bit-identical to sequential stepping;
 //! 3. routing — staged envelopes, in `(sender, send-sequence)` order,
-//!    pass through the fault layer and into next-round mailboxes, and
-//!    [`EngineCore::finish_round`] advances the clock.
+//!    pass through the fault layer and into mailboxes or the delay
+//!    queue, and [`EngineCore::finish_round`] advances the clock.
 //!
 //! # Order-independent routing
 //!
@@ -157,6 +157,54 @@ pub struct StepState<'a, M: MessageCost> {
     pub seed: u64,
     /// Per-node per-round delivery cap (`None` = unbounded).
     pub receive_cap: Option<usize>,
+}
+
+/// One round's read-only stepping inputs, shared by every block of nodes
+/// the round steps (via [`EngineCore::step_parts`]).
+#[derive(Clone, Copy)]
+pub struct StepInputs<'a> {
+    /// The round being stepped.
+    pub round: u64,
+    /// The run seed (for per-node round randomness).
+    pub seed: u64,
+    /// The fault plan (for the crashed-node check before stepping).
+    pub faults: &'a FaultPlan,
+    /// Per-node per-round delivery cap (`None` = unbounded).
+    pub receive_cap: Option<usize>,
+    /// The failure detector's current crash report, lent to every node.
+    pub suspects: &'a [NodeId],
+}
+
+impl StepInputs<'_> {
+    /// Steps one contiguous block of nodes — `nodes[k]` is node
+    /// `base + k`, its mailbox `inboxes[k]` — appending their sends to
+    /// `staged` in canonical `(sender, send-sequence)` order. A crashed
+    /// node neither runs nor receives: its pending deliveries are
+    /// consumed and lost. A live node takes its (capped) inbox via
+    /// [`take_capped`] and runs via [`step_node`]. Every engine steps
+    /// through here, one block for the whole population or one per
+    /// shard.
+    pub fn step_block<N: Node>(
+        self,
+        nodes: &mut [N],
+        inboxes: &mut [Vec<Envelope<N::Msg>>],
+        base: usize,
+        staged: &mut Vec<Envelope<N::Msg>>,
+        scratch: &mut Vec<Envelope<N::Msg>>,
+    ) {
+        // Hoisted: with no crashes scheduled (the common case) the
+        // per-node map probe below is skipped entirely.
+        let crashes_possible = self.faults.has_crashes();
+        for (offset, (node, inbox)) in nodes.iter_mut().zip(inboxes).enumerate() {
+            let i = base + offset;
+            if crashes_possible && self.faults.is_crashed_at(i, self.round) {
+                inbox.clear();
+                continue;
+            }
+            let inbox = take_capped(inbox, scratch, self.receive_cap);
+            step_node(node, i, self.round, self.seed, self.suspects, inbox, staged);
+        }
+    }
 }
 
 /// What the fault layer decided for one message: dropped (with a
@@ -842,9 +890,8 @@ impl<M: MessageCost> EngineCore<M> {
         round
     }
 
-    /// The failure detector's current crash report. Engines clone it
-    /// (it is one entry per crash) and lend it to every node stepped
-    /// this round.
+    /// The failure detector's current crash report (engines lend it to
+    /// the nodes through [`step_parts`](EngineCore::step_parts)).
     pub fn suspects(&self) -> &[NodeId] {
         &self.active_suspects
     }
@@ -857,6 +904,20 @@ impl<M: MessageCost> EngineCore<M> {
             seed: self.seed,
             receive_cap: self.receive_cap,
         }
+    }
+
+    /// Splits the core for stepping nodes: the mailboxes, plus the
+    /// round's read-only [`StepInputs`] (the crash report included, lent
+    /// without a copy).
+    pub fn step_parts(&mut self) -> (&mut [Vec<Envelope<M>>], StepInputs<'_>) {
+        let inputs = StepInputs {
+            round: self.round,
+            seed: self.seed,
+            faults: &self.faults,
+            receive_cap: self.receive_cap,
+            suspects: &self.active_suspects,
+        };
+        (&mut self.inboxes, inputs)
     }
 
     /// Routes a round's staged envelopes — canonical
@@ -955,15 +1016,47 @@ impl<M: MessageCost> EngineCore<M> {
             return;
         }
 
+        self.route_batch_with(staged, |_, _, _, _, _| 1);
+    }
+
+    /// Routes a round's staged envelopes with a caller-supplied base
+    /// latency per message: the one routing loop behind every faulty,
+    /// jittered or timed round.
+    ///
+    /// `latency(src, dst, orig_round, orig_seq, attempt)` returns a
+    /// transmission's base delivery latency in rounds (`>= 1`); a
+    /// message's first send is `(round, send-sequence, attempt 0)`. The
+    /// round engines use 1 for every message; the discrete-event engine
+    /// draws it from its latency model. A message routed at round `r`
+    /// with base latency `lat` and jitter `extra` (from [`route_fate`])
+    /// arrives at round `r + lat + extra`; the crash check uses its
+    /// arrival without jitter, `r + lat`, so a long-latency message can
+    /// outlive its destination. Envelope order, fate coins and all
+    /// accounting are otherwise those of [`route_batch`], and dropped
+    /// messages park for retransmission at `r + timeout` when reliable
+    /// delivery is on.
+    ///
+    /// [`route_batch`]: EngineCore::route_batch
+    ///
+    /// # Panics
+    ///
+    /// Panics if any envelope addresses a node that does not exist, or
+    /// if a latency of 0 is returned.
+    pub fn route_batch_with<F>(&mut self, staged: &mut Vec<Envelope<M>>, mut latency: F)
+    where
+        F: FnMut(usize, usize, u64, u64, u32) -> u64,
+    {
+        let round = self.round;
+        let n = self.inboxes.len();
         let seed = self.seed;
         let max_extra = self.max_extra_delay;
         let reliable = self.reliable;
         let guards = FaultGuards::new(&self.faults);
         let trace = &mut self.trace;
         let causal = &mut self.causal;
+        let inboxes = &mut self.inboxes;
         let delayed = &mut self.delayed;
         let pool = &mut self.pool;
-        let inboxes = &mut self.inboxes;
         let queue = &mut self.retransmit_queue;
         let lanes = self.metrics.lanes();
         let mut prev_src = usize::MAX;
@@ -984,9 +1077,9 @@ impl<M: MessageCost> EngineCore<M> {
                 env.src
             );
             let pointers = env.payload.pointers();
-            // Delivery happens at the start of the next round at the
-            // earliest; a node dead by then never sees the message.
-            let blocked = guards.blocked(src, dst, round, round + 1);
+            let lat = latency(src, dst, round, sequence, 0);
+            assert!(lat >= 1, "a delivery latency of 0 beats causality");
+            let blocked = guards.blocked(src, dst, round, round + lat);
             let (drop_p, coin_cause) = guards.coin(src, dst);
             let fate = route_fate(
                 seed, round, src, sequence, blocked, drop_p, coin_cause, max_extra,
@@ -1017,146 +1110,25 @@ impl<M: MessageCost> EngineCore<M> {
                         });
                 }
             } else {
+                let arrival = round + lat + fate.extra_delay;
                 trace_delivery(
                     causal.as_mut(),
                     seed,
                     &env,
                     (round, sequence),
                     round + 1,
-                    round + 2 + fate.extra_delay,
+                    arrival + 1,
                 );
                 lanes.row.messages += 1;
                 lanes.row.pointers += pointers as u64;
                 let lane = &mut lanes.nodes[dst];
                 lane.recv_messages += 1;
                 lane.recv_pointers += pointers as u64;
-                if fate.extra_delay == 0 {
+                if arrival == round + 1 {
                     inboxes[dst].push(env);
                 } else {
                     delayed
-                        .entry(round + 1 + fate.extra_delay)
-                        .or_insert_with(|| pool.take())
-                        .push(env);
-                }
-            }
-        }
-    }
-
-    /// Routes a round's staged envelopes with *caller-supplied delivery
-    /// latencies* — the entry point of the discrete-event engine, where
-    /// per-message latency comes from a pluggable model instead of the
-    /// core's uniform-jitter knob.
-    ///
-    /// `latency(src, dst, sequence)` returns the delivery latency of
-    /// the message in whole ticks (`>= 1`); a message sent at tick `t`
-    /// arrives at tick `t + latency`. Envelope order, drop coins
-    /// ([`route_fate`] with the same `(seed, src, round, sequence)`
-    /// axes), and all accounting mirror [`route_batch`], so a model
-    /// that always returns 1 is bit-identical to synchronous routing.
-    /// Crash checks use the message's own *arrival* tick, so a
-    /// long-latency message can outlive its destination.
-    ///
-    /// Dropped messages still park in the retransmission queue (when
-    /// reliable delivery is on) at `round + timeout`; the caller decides
-    /// when to drain it via [`process_due_retransmissions_timed`]
-    /// (typically from a timer armed at [`next_retransmission_due`]).
-    ///
-    /// [`process_due_retransmissions_timed`]: EngineCore::process_due_retransmissions_timed
-    /// [`next_retransmission_due`]: EngineCore::next_retransmission_due
-    ///
-    /// # Panics
-    ///
-    /// Panics if any envelope addresses a node that does not exist, if
-    /// a latency of 0 is returned, or if the core's own delay jitter is
-    /// also configured (the latency model supersedes it).
-    pub fn route_batch_timed<F>(&mut self, staged: &mut Vec<Envelope<M>>, mut latency: F)
-    where
-        F: FnMut(usize, usize, u64) -> u64,
-    {
-        assert_eq!(
-            self.max_extra_delay, 0,
-            "the latency model supersedes the uniform-jitter knob"
-        );
-        let round = self.round;
-        let n = self.inboxes.len();
-        let seed = self.seed;
-        let reliable = self.reliable;
-        let guards = FaultGuards::new(&self.faults);
-        let trace = &mut self.trace;
-        let causal = &mut self.causal;
-        let delayed = &mut self.delayed;
-        let pool = &mut self.pool;
-        let inboxes = &mut self.inboxes;
-        let queue = &mut self.retransmit_queue;
-        let lanes = self.metrics.lanes();
-        let mut prev_src = usize::MAX;
-        let mut seq = 0u64;
-        for env in staged.drain(..) {
-            let src = env.src.index();
-            if src != prev_src {
-                prev_src = src;
-                seq = 0;
-            }
-            let sequence = seq;
-            seq += 1;
-            let dst = env.dst.index();
-            assert!(
-                dst < n,
-                "message to unknown node {} from {}",
-                env.dst,
-                env.src
-            );
-            let pointers = env.payload.pointers();
-            let lat = latency(src, dst, sequence);
-            assert!(lat >= 1, "a delivery latency of 0 beats causality");
-            // A node dead at the message's arrival tick never sees it.
-            let blocked = guards.blocked(src, dst, round, round + lat);
-            let (drop_p, coin_cause) = guards.coin(src, dst);
-            let fate = route_fate(seed, round, src, sequence, blocked, drop_p, coin_cause, 0);
-            if let Some(trace) = trace.as_mut() {
-                trace.record(TraceEvent {
-                    round,
-                    src: env.src,
-                    dst: env.dst,
-                    pointers,
-                    dropped: fate.dropped,
-                });
-            }
-            let lane = &mut lanes.nodes[src];
-            lane.sent_messages += 1;
-            lane.sent_pointers += pointers as u64;
-            if let Some(cause) = fate.dropped {
-                lanes.row.drops.add(cause);
-                if let Some(policy) = reliable {
-                    queue
-                        .entry(round + policy.timeout)
-                        .or_default()
-                        .push(RetryEnvelope {
-                            env,
-                            orig_round: round,
-                            orig_seq: sequence,
-                            attempts: 0,
-                        });
-                }
-            } else {
-                trace_delivery(
-                    causal.as_mut(),
-                    seed,
-                    &env,
-                    (round, sequence),
-                    round + 1,
-                    round + 1 + lat,
-                );
-                lanes.row.messages += 1;
-                lanes.row.pointers += pointers as u64;
-                let lane = &mut lanes.nodes[dst];
-                lane.recv_messages += 1;
-                lane.recv_pointers += pointers as u64;
-                if lat == 1 {
-                    inboxes[dst].push(env);
-                } else {
-                    delayed
-                        .entry(round + lat)
+                        .entry(arrival)
                         .or_insert_with(|| pool.take())
                         .push(env);
                 }
@@ -1242,44 +1214,62 @@ impl<M: MessageCost> EngineCore<M> {
         }
     }
 
-    /// Closes the round: makes any due retransmission attempts (when
-    /// reliable delivery is enabled), seals the causal trace, then
-    /// advances the clock.
+    /// Closes the round: makes every retransmission attempt due by now
+    /// (when reliable delivery is enabled), at the round engines' unit
+    /// base latency, then [`finish_tick`](EngineCore::finish_tick).
     pub fn finish_round(&mut self) {
         if self.reliable.is_some() {
-            self.process_retransmissions();
+            self.retransmit_due(|_, _, _, _, _| 1);
         }
-        self.seal_causal();
+        self.finish_tick();
+    }
+
+    /// Closes a tick *without* a retransmission sweep: seals the causal
+    /// trace and advances the clock, nothing else. The discrete-event
+    /// engine, which makes due attempts when its timer fires (via
+    /// [`retransmit_due`](EngineCore::retransmit_due)), closes with
+    /// this instead of [`finish_round`](EngineCore::finish_round).
+    pub fn finish_tick(&mut self) {
+        if let Some(causal) = self.causal.as_mut() {
+            // The causal trace's round barrier, after every offer of the
+            // round (retransmissions included). A message routed while
+            // the counter reads `r` is delivered in 1-based round `r + 2`
+            // at the earliest, so once this round's sends are routed
+            // every later offer lands in round `r + 3` or after:
+            // retained edges delivered by `r + 2` are final.
+            causal.seal(self.round + 2);
+        }
         self.round += 1;
     }
 
-    /// The causal trace's round barrier, after every offer of the round
-    /// (retransmissions included). A message routed while the counter
-    /// reads `r` is delivered in 1-based round `r + 2` at the earliest,
-    /// so once this round's sends are routed every later offer lands in
-    /// round `r + 3` or after: retained edges delivered by `r + 2` are
-    /// final.
-    fn seal_causal(&mut self) {
-        if let Some(causal) = self.causal.as_mut() {
-            causal.seal(self.round + 2);
-        }
-    }
-
-    /// Makes every retransmission attempt due by the current round.
+    /// Makes every retransmission attempt due by the current round: the
+    /// one retransmission sweep, with a caller-supplied base latency per
+    /// attempt exactly as in [`route_batch_with`] (the attempt's
+    /// `(orig_round, orig_seq)` name its original send).
     ///
-    /// Runs serially (after routing) in every engine, draining the
-    /// resend queue in `(resend round, canonical drop order)` order, so
-    /// the sequential and sharded engines replay attempts identically.
-    /// Attempts are charged like fresh sends (plus the
-    /// `retransmissions` tally) but are not traced — the trace records
-    /// the protocol's own sends. An attempt that gets through is offered
-    /// to the causal trace like any delivery, with the attempt's own
-    /// send and delivery rounds. A still-failing attempt re-parks the
-    /// message with exponentially backed-off delay until the retry
-    /// budget runs out; because crash and partition checks use the
-    /// attempt's own round, a retransmission can land after its
-    /// destination recovers or the partition heals.
-    fn process_retransmissions(&mut self) {
+    /// Runs serially after routing, draining the resend queue in
+    /// `(resend round, canonical drop order)` order, so every engine and
+    /// worker count replays attempts identically. Attempts are charged
+    /// like fresh sends (plus the `retransmissions` tally) but are not
+    /// traced — the trace records the protocol's own sends. An attempt
+    /// that gets through is offered to the causal trace like any
+    /// delivery, with the attempt's own send and delivery rounds. A
+    /// still-failing attempt re-parks the message with exponentially
+    /// backed-off delay until the retry budget runs out; because crash
+    /// and partition checks use the attempt's own round, a
+    /// retransmission can land after its destination recovers or the
+    /// partition heals.
+    ///
+    /// [`route_batch_with`]: EngineCore::route_batch_with
+    ///
+    /// # Panics
+    ///
+    /// Panics if reliable delivery is not enabled or a latency of 0 is
+    /// returned.
+    pub fn retransmit_due<F>(&mut self, mut latency: F)
+    where
+        F: FnMut(usize, usize, u64, u64, u32) -> u64,
+    {
         let policy = self.reliable.expect("reliable delivery enabled");
         let round = self.round;
         let seed = self.seed;
@@ -1297,7 +1287,9 @@ impl<M: MessageCost> EngineCore<M> {
                 let src = retry.env.src.index();
                 let dst = retry.env.dst.index();
                 let attempt = retry.attempts + 1;
-                let blocked = guards.blocked(src, dst, round, round + 1);
+                let lat = latency(src, dst, retry.orig_round, retry.orig_seq, attempt);
+                assert!(lat >= 1, "a delivery latency of 0 beats causality");
+                let blocked = guards.blocked(src, dst, round, round + lat);
                 let (drop_p, coin_cause) = guards.coin(src, dst);
                 let fate = retry_fate(
                     seed,
@@ -1330,24 +1322,25 @@ impl<M: MessageCost> EngineCore<M> {
                             });
                     }
                 } else {
+                    let arrival = round + lat + fate.extra_delay;
                     trace_delivery(
                         causal.as_mut(),
                         seed,
                         &retry.env,
                         (retry.orig_round, retry.orig_seq),
                         round + 1,
-                        round + 2 + fate.extra_delay,
+                        arrival + 1,
                     );
                     lanes.row.messages += 1;
                     lanes.row.pointers += pointers;
                     let lane = &mut lanes.nodes[dst];
                     lane.recv_messages += 1;
                     lane.recv_pointers += pointers;
-                    if fate.extra_delay == 0 {
+                    if arrival == round + 1 {
                         inboxes[dst].push(retry.env);
                     } else {
                         delayed
-                            .entry(round + 1 + fate.extra_delay)
+                            .entry(arrival)
                             .or_insert_with(|| pool.take())
                             .push(retry.env);
                     }
@@ -1356,119 +1349,11 @@ impl<M: MessageCost> EngineCore<M> {
         }
     }
 
-    /// The earliest tick at which a parked retransmission becomes due,
-    /// if any. Timer-driven engines arm a wake-up at this instant and
-    /// drain the queue with [`process_due_retransmissions_timed`] when
-    /// it fires.
-    ///
-    /// [`process_due_retransmissions_timed`]: EngineCore::process_due_retransmissions_timed
+    /// The earliest round at which a parked retransmission becomes due,
+    /// if any. The discrete-event engine arms its retransmission timer
+    /// at this instant.
     pub fn next_retransmission_due(&self) -> Option<u64> {
         self.retransmit_queue.keys().next().copied()
-    }
-
-    /// Makes every retransmission attempt due by the current tick, with
-    /// *caller-supplied delivery latencies* for the attempts that
-    /// succeed — the discrete-event counterpart of the per-round sweep
-    /// inside [`finish_round`](EngineCore::finish_round).
-    ///
-    /// `latency(src, dst, orig_round, orig_seq, attempt)` returns the
-    /// attempt's delivery latency in whole ticks (`>= 1`). Drain order,
-    /// attempt coins ([`retry_fate`] on the same axes), backoff
-    /// re-parking, and all accounting mirror the sweep, so a model that
-    /// always returns 1 is bit-identical to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if reliable delivery is not enabled or a latency of 0 is
-    /// returned.
-    pub fn process_due_retransmissions_timed<F>(&mut self, mut latency: F)
-    where
-        F: FnMut(usize, usize, u64, u64, u32) -> u64,
-    {
-        let policy = self.reliable.expect("reliable delivery enabled");
-        let round = self.round;
-        let seed = self.seed;
-        let guards = FaultGuards::new(&self.faults);
-        let causal = &mut self.causal;
-        let inboxes = &mut self.inboxes;
-        let delayed = &mut self.delayed;
-        let pool = &mut self.pool;
-        let queue = &mut self.retransmit_queue;
-        let lanes = self.metrics.lanes();
-        while queue.first_key_value().is_some_and(|(&at, _)| at <= round) {
-            let (_, batch) = queue.pop_first().expect("nonempty");
-            for retry in batch {
-                let src = retry.env.src.index();
-                let dst = retry.env.dst.index();
-                let attempt = retry.attempts + 1;
-                let lat = latency(src, dst, retry.orig_round, retry.orig_seq, attempt);
-                assert!(lat >= 1, "a delivery latency of 0 beats causality");
-                let blocked = guards.blocked(src, dst, round, round + lat);
-                let (drop_p, coin_cause) = guards.coin(src, dst);
-                let fate = retry_fate(
-                    seed,
-                    src,
-                    retry.orig_round,
-                    retry.orig_seq,
-                    attempt,
-                    blocked,
-                    drop_p,
-                    coin_cause,
-                    0,
-                );
-                let pointers = retry.env.payload.pointers() as u64;
-                lanes.row.retransmissions += 1;
-                let lane = &mut lanes.nodes[src];
-                lane.sent_messages += 1;
-                lane.sent_pointers += pointers;
-                if let Some(cause) = fate.dropped {
-                    lanes.row.drops.add(cause);
-                    if attempt < policy.max_retries {
-                        queue
-                            .entry(round + policy.delay_after(attempt))
-                            .or_default()
-                            .push(RetryEnvelope {
-                                attempts: attempt,
-                                ..retry
-                            });
-                    }
-                } else {
-                    trace_delivery(
-                        causal.as_mut(),
-                        seed,
-                        &retry.env,
-                        (retry.orig_round, retry.orig_seq),
-                        round + 1,
-                        round + 1 + lat,
-                    );
-                    lanes.row.messages += 1;
-                    lanes.row.pointers += pointers;
-                    let lane = &mut lanes.nodes[dst];
-                    lane.recv_messages += 1;
-                    lane.recv_pointers += pointers;
-                    if lat == 1 {
-                        inboxes[dst].push(retry.env);
-                    } else {
-                        delayed
-                            .entry(round + lat)
-                            .or_insert_with(|| pool.take())
-                            .push(retry.env);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Closes a tick *without* the per-round retransmission sweep:
-    /// seals the causal trace and advances the clock, nothing else.
-    /// Timer-driven engines that drain retransmissions explicitly (via
-    /// [`process_due_retransmissions_timed`]) call this instead of
-    /// [`finish_round`](EngineCore::finish_round).
-    ///
-    /// [`process_due_retransmissions_timed`]: EngineCore::process_due_retransmissions_timed
-    pub fn finish_tick(&mut self) {
-        self.seal_causal();
-        self.round += 1;
     }
 }
 

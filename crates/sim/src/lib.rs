@@ -73,10 +73,12 @@ pub mod pool;
 pub mod rng;
 pub mod trace;
 
-pub use engine::{Engine, RoundEngine, RunOutcome};
+pub use engine::{
+    in_span, Delivery, DeliveryEngine, Engine, FromParam, RoundEngine, Rounds, RunOutcome,
+};
 pub use engine_core::{
     retry_fate, route_fate, step_node, take_capped, EngineCore, FaultGuards, RetryPolicy,
-    RouteFate, StepState,
+    RouteFate, StepInputs, StepState,
 };
 pub use faults::{ChurnSpec, DropCause, FaultPlan, LinkLossSpec, SuppressionSpec};
 pub use id::NodeId;

@@ -114,7 +114,7 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
         8usize..40,
         any::<u64>(),
         (0u32..3, 0usize..3, 0u64..16, 0u64..2),
-        (0usize..3, 0u64..3, 2usize..9),
+        (0usize..3, 0u64..3, 1usize..9),
         (0u32..2, 0u32..2, 0u32..2, 0u32..2, 0u32..2, 0u32..2),
     )
         .prop_map(
@@ -320,7 +320,7 @@ where
         "{}: trace diverged",
         alg.name()
     );
-    prop_assert_eq!(seq.round(), evt.now(), "{}: clock diverged", alg.name());
+    prop_assert_eq!(seq.round(), evt.round(), "{}: clock diverged", alg.name());
     for (i, (s, e)) in seq.nodes().iter().zip(evt.nodes()).enumerate() {
         prop_assert_eq!(
             s.known_ids(),
@@ -398,7 +398,7 @@ proptest! {
         topo in arb_topology(),
         n in 8usize..48,
         seed in any::<u64>(),
-        workers in 2usize..9,
+        workers in 1usize..9,
     ) {
         for kind in [AlgorithmKind::NameDropper, AlgorithmKind::Hm(HmConfig::default())] {
             let base = RunConfig::new(topo, n, seed).with_max_rounds(1_200);
@@ -835,4 +835,15 @@ proptest! {
             }
         }
     }
+}
+
+/// The event engine's latency model supersedes the round engines'
+/// uniform-jitter knob, so the shared builder rejects the knob when it
+/// is configured, before any round runs.
+#[test]
+#[should_panic(expected = "supersedes the uniform-jitter knob")]
+fn event_engine_rejects_the_jitter_knob() {
+    let nodes =
+        NameDropper.make_nodes(&problem::initial_knowledge(&Topology::Cycle.generate(8, 1)));
+    let _ = EventEngine::new(nodes, 1, LatencyModel::Constant { ticks: 1 }).with_max_extra_delay(2);
 }
